@@ -13,7 +13,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from . import indices, schur, series
+from . import indices, series
 from .bott import (
     GrassmannianContext,
     HomogeneousBundle,
@@ -35,9 +35,6 @@ from .quot import (
     wedge_power,
 )
 from .schur import cauchy_wedge, lr_coefficient
-
-LR_CACHE_ENV = "QUOTCOH_CACHE_DIR"
-LR_CACHE_FILE = "lr-cache.json"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,6 +119,8 @@ def _cohomology_doc(result) -> dict:
 
 def _sheaf_from_args(args):
     side = getattr(args, "side", None) or G2
+    if args.functor in ("wedge", "sym") and args.k is None:
+        raise ValueError(f"--functor {args.functor} needs --k")
     if args.functor == "wedge":
         return wedge_power(args.k, side)
     if args.functor == "sym":
@@ -167,9 +166,16 @@ def _dual_case(case):
         rec.ok, len(rec.summands)
 
 
+def _worker_count(jobs: int, ncases: int) -> int:
+    """Pool size for a grid: a pool forks all its workers up front, so never
+    more than there are cores or cases."""
+    return max(1, min(jobs, os.cpu_count() or 1, ncases))
+
+
 def _run_cases(worker, cases, jobs: int):
-    if jobs > 1 and len(cases) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _worker_count(jobs, len(cases))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, cases, chunksize=8))
     return [worker(c) for c in cases]
 
@@ -490,13 +496,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cache_path():
-    root = os.environ.get(LR_CACHE_ENV)
-    if not root:
-        return None
-    return os.path.join(root, LR_CACHE_FILE)
-
-
 def run(argv) -> int:
     parser = build_parser()
     try:
@@ -510,24 +509,24 @@ def run(argv) -> int:
                 return 2
         if args.sym_cap is None:
             args.sym_cap = 2 * args.n
-    cache = _cache_path()
-    if cache:
-        schur.load_lr_cache(cache)
     try:
-        code = args.func(args, args.format)
+        return args.func(args, args.format)
     except (ValueError, ArithmeticError) as exc:
         print(json.dumps({"error": str(exc)}))
         return 2
-    if cache:
-        os.makedirs(os.path.dirname(cache), exist_ok=True)
-        tmp = cache + ".tmp"
-        schur.save_lr_cache(tmp)
-        os.replace(tmp, cache)
-    return code
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head` does).  Point stdout
+        # at devnull so the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from typing import Optional
 from .bott import GrassmannianContext, bwb, quot_dual_bundle
 from .partitions import (
     as_partition,
-    pad,
     part,
     size,
     transpose,
@@ -28,8 +27,7 @@ from .schur import (
     double_bundle_expand,
     direct_sum_expand,
     lr_expand_tensor,
-    pieri_sym,
-    pieri_wedge,
+    pieri_twist,
 )
 
 SHAPE_PLAIN = "plain"
@@ -129,14 +127,6 @@ def _require_box(lam, rows: int, cols: int):
         raise ValueError(f"{lam} does not fit in a {rows} x {cols} box")
 
 
-def _wedge_twist(gamma, k: int, n: int) -> list:
-    """Summands of S_gamma(B dual) . wedge^k(B) in dual-quotient weights."""
-    out = []
-    for w in pieri_wedge(pad(gamma, n), n - k):
-        out.append(tuple(e - 1 for e in w))
-    return out
-
-
 def verify_wedge_vanishing(d: int, n: int, lam, k: int) -> VanishingRecord:
     """Certify vanishing of the doubled-bundle expansion twisted by the k-th
     exterior power of the quotient.
@@ -152,10 +142,7 @@ def verify_wedge_vanishing(d: int, n: int, lam, k: int) -> VanishingRecord:
         raise ValueError(f"{lam} has no index for n={n}")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
-    deltas: dict = {}
-    for gamma, mult in double_bundle_expand(lam, n).items():
-        for delta in _wedge_twist(gamma, k, n):
-            deltas[delta] = deltas.get(delta, 0) + mult
+    deltas = pieri_twist(double_bundle_expand(lam, n), n, "wedge", (k,))
     return _check_summands(d, n, lam, rep.index, "wedge", (k,), deltas)
 
 
@@ -174,10 +161,7 @@ def verify_sym_vanishing(d: int, n: int, lam, k: int) -> VanishingRecord:
         raise ValueError("k must be nonnegative")
     if rep.index == n and k > n:
         raise ValueError(f"index n={n} only covers k <= n, got k={k}")
-    deltas: dict = {}
-    for gamma, mult in double_bundle_expand(lam, n).items():
-        for delta in pieri_sym(pad(gamma, n), k, dualized=True):
-            deltas[delta] = deltas.get(delta, 0) + mult
+    deltas = pieri_twist(double_bundle_expand(lam, n), n, "sym", (k,))
     return _check_summands(d, n, lam, rep.index, "sym", (k,), deltas)
 
 
@@ -211,14 +195,7 @@ def verify_dual_vanishing(d: int, n: int, r: int, lam, ks,
         raise ValueError(f"unknown mode {mode!r}")
     if not rep.defined:
         raise ValueError(f"{lam} has no index for n={n} in mode {mode}")
-    deltas = {pad(gamma, n): mult
-              for gamma, mult in double_bundle_expand(lam, n).items()}
-    for kt in ks:
-        step: dict = {}
-        for w, mult in deltas.items():
-            for nw in pieri_wedge(w, kt):
-                step[nw] = step.get(nw, 0) + mult
-        deltas = step
+    deltas = pieri_twist(double_bundle_expand(lam, n), n, "dual", ks)
     kind = "dual-plain" if mode == "plain" else "dual-plus"
     return _check_summands(d, n, lam, rep.index, kind, ks, deltas)
 

@@ -34,7 +34,7 @@ from .partitions import (
     transpose,
     weyl_dim,
 )
-from .schur import double_bundle_expand, pieri_sym, pieri_wedge
+from .schur import double_bundle_expand, pieri_twist
 
 G1 = "G1"
 G2 = "G2"
@@ -196,55 +196,9 @@ def _validate_sheaf(data: EmbeddingData, sheaf: TautologicalSheaf):
             raise ValueError("symmetric power of a rank-0 bundle")
 
 
-def _chain_dual_wedges(start: dict, ks) -> dict:
-    """Tensor dual-quotient weights by dual exterior powers, one after the
-    other; weights stay in dual coordinates."""
-    acc = dict(start)
-    for k in ks:
-        step: dict = {}
-        for w, mult in acc.items():
-            for nw in pieri_wedge(w, k):
-                step[nw] = step.get(nw, 0) + mult
-        acc = step
-    return acc
-
-
-def _g2_summands(data: EmbeddingData, sheaf: TautologicalSheaf,
-                 gamma: tuple) -> dict:
-    """Expand one dual-coordinate weight gamma through the side-G2 twist.
-
-    Returns {dual-coordinate weight: multiplicity}.
-    """
-    q2 = data.q2
-    base = pad(gamma, q2)
-    if sheaf.functor == "wedge" and sheaf.sides[0] == G2:
-        k = sheaf.ks[0]
-        return {tuple(e - 1 for e in w): 1
-                for w in pieri_wedge(base, q2 - k)}
-    if sheaf.functor == "sym" and sheaf.sides[0] == G2:
-        return dict(pieri_sym(base, sheaf.ks[0], dualized=True))
-    if sheaf.functor == "dual":
-        ks = [k for k, s in zip(sheaf.ks, sheaf.sides) if s == G2]
-        return _chain_dual_wedges({base: 1}, ks)
-    return {base: 1}
-
-
-def _g1_quot_weights(data: EmbeddingData, sheaf: TautologicalSheaf) -> dict:
-    """Quotient-side weights on the first Grassmannian contributed by the
-    twist, in ordinary (non-dual) coordinates."""
-    q1 = data.q1
-    trivial = (0,) * q1
-    if sheaf.functor == "wedge" and sheaf.sides[0] == G1:
-        k = sheaf.ks[0]
-        return {(1,) * k + (0,) * (q1 - k): 1}
-    if sheaf.functor == "sym" and sheaf.sides[0] == G1:
-        k = sheaf.ks[0]
-        return {(k,) + (0,) * (q1 - 1): 1} if k else {trivial: 1}
-    if sheaf.functor == "dual":
-        ks = [k for k, s in zip(sheaf.ks, sheaf.sides) if s == G1]
-        dual = _chain_dual_wedges({(0,) * q1: 1}, ks)
-        return {negate_reverse(w): mult for w, mult in dual.items()}
-    return {trivial: 1}
+def _side_ks(sheaf: TautologicalSheaf, side: str) -> tuple:
+    """The degrees of the factors whose twist is realized on one side."""
+    return tuple(k for k, s in zip(sheaf.ks, sheaf.sides) if s == side)
 
 
 @dataclass(frozen=True)
@@ -265,7 +219,12 @@ def resolution_terms(data: EmbeddingData, sheaf: TautologicalSheaf,
     _validate_sheaf(data, sheaf)
     ctx1, ctx2 = data.ctx1, data.ctx2
     sub_len = data.d1 - data.q1
-    g1_quots = _g1_quot_weights(data, sheaf)
+    # On the first Grassmannian the twist is the whole quotient weight,
+    # turned from dual coordinates to ordinary ones.
+    g1_dual = pieri_twist({(): 1}, data.q1, sheaf.functor,
+                          _side_ks(sheaf, G1))
+    g1_quots = {negate_reverse(w): m for w, m in g1_dual.items()}
+    g2_ks = _side_ks(sheaf, G2)
     zeros2 = (0,) * (data.d2 - data.q2)
     acc: dict = {}
     for lam in enumerate_in_box(2 * data.q2, sub_len, ell):
@@ -274,12 +233,13 @@ def resolution_terms(data: EmbeddingData, sheaf: TautologicalSheaf,
             (HomogeneousBundle(ctx1, w, sub1), m)
             for w, m in g1_quots.items()
         ]
-        for gamma, mult in double_bundle_expand(lam, data.q2).items():
-            for w2, m2 in _g2_summands(data, sheaf, gamma).items():
-                b2 = HomogeneousBundle(ctx2, negate_reverse(w2), zeros2)
-                for b1, m1 in g1_bundles:
-                    key = (b1, b2)
-                    acc[key] = acc.get(key, 0) + mult * m1 * m2
+        g2_weights = pieri_twist(double_bundle_expand(lam, data.q2), data.q2,
+                                 sheaf.functor, g2_ks)
+        for w2, m2 in g2_weights.items():
+            b2 = HomogeneousBundle(ctx2, negate_reverse(w2), zeros2)
+            for b1, m1 in g1_bundles:
+                key = (b1, b2)
+                acc[key] = acc.get(key, 0) + m1 * m2
     ordered = sorted(
         acc.items(),
         key=lambda kv: (kv[0][0].quot, kv[0][0].sub, kv[0][1].quot),

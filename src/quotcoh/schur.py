@@ -1,14 +1,21 @@
 """Littlewood-Richardson coefficients, Pieri products and Cauchy terms.
 
 Coefficients are computed by backtracking enumeration of semistandard skew
-fillings with the lattice word property, memoized on the triple of
-partitions.  The Pieri rules act directly on dominant weights with possibly
-negative entries; this is legitimate because both rules commute with
-twisting every entry by the same determinant power, the usual normalization
-that makes negative entries nonnegative.
+fillings with the lattice word property.  Single coefficients are not
+cached: a triple rarely recurs outside the expansion that first asked for
+it.  The reuse sits one level up.  The tensor, direct-sum and doubled-bundle
+expansions are cached per input, because every sheaf resolved on an
+embedding meets the same partitions lam again; the two Pieri rules are
+cached per weight and degree, because every twist meets the same expanded
+weights again.  (weyl_dim in partitions and _bott in bott are the other
+two caches; they pay for the same reason at the Kunneth step.)
+
+The Pieri rules act directly on dominant weights with possibly negative
+entries; this is legitimate because both rules commute with twisting every
+entry by the same determinant power, the usual normalization that makes
+negative entries nonnegative.
 """
 
-import json
 from functools import lru_cache
 from itertools import combinations
 
@@ -23,12 +30,6 @@ from .partitions import (
     transpose,
 )
 
-# Shared memo table for Littlewood-Richardson coefficients.  Reads and
-# single-key inserts are atomic under the GIL; worker processes simply
-# replicate it.
-_LR_MEMO: dict = {}
-_LR_CACHE_VERSION = 1
-
 
 def lr_coefficient(alpha, beta, gamma) -> int:
     """The multiplicity c^gamma_{alpha,beta} of S_gamma in S_alpha . S_beta.
@@ -41,16 +42,9 @@ def lr_coefficient(alpha, beta, gamma) -> int:
     alpha = as_partition(alpha)
     beta = as_partition(beta)
     gamma = as_partition(gamma)
-    key = (alpha, beta, gamma)
-    cached = _LR_MEMO.get(key)
-    if cached is not None:
-        return cached
     if size(gamma) != size(alpha) + size(beta) or not contains(gamma, alpha):
-        value = 0
-    else:
-        value = _count_tableaux(alpha, beta, gamma)
-    _LR_MEMO[key] = value
-    return value
+        return 0
+    return _count_tableaux(alpha, beta, gamma)
 
 
 def _count_tableaux(alpha, beta, gamma) -> int:
@@ -243,35 +237,29 @@ def pieri_sym(w, k: int, dualized: bool = False) -> dict:
     return {v: 1 for v in _pieri_sym_cached(as_weight(w), k, dualized)}
 
 
-def save_lr_cache(path) -> int:
-    """Persist the memo table of computed coefficients.  Returns the entry
-    count."""
-    entries = [
-        [list(a), list(b), list(g), c] for (a, b, g), c in _LR_MEMO.items()
-    ]
-    doc = {"format": "quotcoh-lr-cache", "version": _LR_CACHE_VERSION,
-           "entries": entries}
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh)
-    return len(entries)
+def pieri_twist(weights: dict, n: int, functor: str, ks) -> dict:
+    """Tensor S_w(B*) by F^k(B) for each k in ks in turn, B of rank n.
 
-
-def load_lr_cache(path) -> int:
-    """Load a previously saved memo table; silently skips unreadable or
-    mismatched files.  Returns the number of entries adopted."""
-    try:
-        with open(path, encoding="ascii") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError):
-        return 0
-    if (
-        not isinstance(doc, dict)
-        or doc.get("format") != "quotcoh-lr-cache"
-        or doc.get("version") != _LR_CACHE_VERSION
-    ):
-        return 0
-    adopted = 0
-    for a, b, g, c in doc.get("entries", []):
-        _LR_MEMO[(tuple(a), tuple(b), tuple(g))] = int(c)
-        adopted += 1
-    return adopted
+    F is the exterior power ("wedge"), the symmetric power ("sym") or the
+    exterior power of the dual ("dual").  weights maps dual-coordinate
+    weights of at most n entries to multiplicities; the result maps weights
+    padded to n entries, still in dual coordinates.  wedge^k B is
+    wedge^(n-k) B* twisted by det B, hence the shift by -1.
+    """
+    if functor not in ("wedge", "sym", "dual"):
+        raise ValueError(f"unknown functor {functor!r}")
+    acc = {pad(w, n): mult for w, mult in weights.items()}
+    for k in ks:
+        step: dict = {}
+        for w, mult in acc.items():
+            if functor == "wedge":
+                summands = [tuple(e - 1 for e in v)
+                            for v in pieri_wedge(w, n - k)]
+            elif functor == "sym":
+                summands = pieri_sym(w, k, dualized=True)
+            else:
+                summands = pieri_wedge(w, k)
+            for v in summands:
+                step[v] = step.get(v, 0) + mult
+        acc = step
+    return acc

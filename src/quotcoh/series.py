@@ -150,10 +150,13 @@ def resolution_series(kind: str, N: int, deg_l: int, n_max: int,
     resp. single dualized exterior) power of the degree-deg_l tautological
     bundle on the degree-n Quot scheme; only the window k <= n is filled.
     Requires deg_l >= n_max so every column satisfies the theorems'
-    hypotheses, and quotient rank 0 throughout.
+    hypotheses, and quotient rank 0 throughout; the dual kind needs N >= 2.
     """
     if kind not in ("wedge", "sym", "dual"):
         raise ValueError(f"unknown series kind {kind!r}")
+    if kind == "dual" and N < 2:
+        raise ValueError("the dual series needs N >= 2: Theorem C allows "
+                         "at most N-1 factors")
     if deg_l < n_max:
         raise ValueError(f"need deg L >= {n_max} so all columns are covered")
     coeffs = {}

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -156,6 +159,12 @@ def test_invalid_inputs_exit_2(capsys):
     code, doc = run_json(capsys, "chi", "--N", "2", "--n", "2", "--r", "0",
                          "--m", "1", "--functor", "wedge", "--k", "1")
     assert code == 2 and "m >= 2" in doc["error"]
+    code, doc = run_json(capsys, "chi", "--N", "2", "--n", "1", "--m", "1",
+                         "--functor", "wedge")
+    assert code == 2 and "--k" in doc["error"]
+    code, doc = run_json(capsys, "series", "dual", "--N", "1", "--degL", "2",
+                         "--nmax", "2")
+    assert code == 2 and "N >= 2" in doc["error"]
     code, out = run_cli(capsys, "nonsense")
     assert code == 2
 
@@ -175,16 +184,47 @@ def test_tsv_format(capsys):
     assert out.strip() == "coefficient\t1"
 
 
-def test_cache_dir_roundtrip(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(cli.LR_CACHE_ENV, str(tmp_path))
-    code, _ = run_json(capsys, "lr", "--alpha", "2,1", "--beta", "2,1",
-                       "--gamma", "3,2,1")
-    assert code == 0
-    cache_file = tmp_path / cli.LR_CACHE_FILE
-    assert cache_file.exists()
-    doc = json.loads(cache_file.read_text())
-    assert doc["format"] == "quotcoh-lr-cache"
-    # a second run picks the file up and rewrites it
-    code, _ = run_json(capsys, "lr", "--alpha", "1", "--beta", "1",
-                       "--gamma", "2")
-    assert code == 0
+def test_closed_stdout_exits_without_traceback():
+    # the reader stops after one line, long before the output ends
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quotcoh.cli", "--format", "tsv", "cauchy",
+         "--ell", "24", "--rank-left", "12", "--rank-right", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"ell\t24\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"BrokenPipe" not in err
+
+
+def test_grid_workers_capped_by_cores_and_cases(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli._worker_count(5000, 100) == 4
+    assert cli._worker_count(5000, 3) == 3
+    assert cli._worker_count(2, 100) == 2
+    assert cli._worker_count(-1, 100) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._worker_count(8, 100) == 1
+
+    # the pool is sized by the cap; a stand-in records it, nothing is forked
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cases, chunksize):
+            return map(fn, cases)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    assert cli._run_cases(abs, [-1, -2, -3], 5000) == [1, 2, 3]
+    assert sizes == [2]

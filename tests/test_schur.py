@@ -14,7 +14,6 @@ from quotcoh.partitions import (
     union,
     weyl_dim,
 )
-from quotcoh import schur
 from quotcoh.schur import (
     cauchy_wedge,
     direct_sum_expand,
@@ -22,6 +21,7 @@ from quotcoh.schur import (
     lr_coefficient,
     lr_expand_tensor,
     pieri_sym,
+    pieri_twist,
     pieri_wedge,
 )
 from oracles import schur_product
@@ -197,12 +197,24 @@ def test_pieri_shift_invariance():
         assert {tuple(e + 3 for e in v) for v in base} == set(shifted)
 
 
-def test_lr_cache_roundtrip(tmp_path):
-    lr_coefficient((2, 1), (2, 1), (3, 2, 1))
-    path = tmp_path / "lr-cache.json"
-    saved = schur.save_lr_cache(path)
-    assert saved >= 1
-    assert schur.load_lr_cache(path) == saved
-    # wrong version or junk is ignored
-    path.write_text("not json")
-    assert schur.load_lr_cache(path) == 0
+def test_pieri_twist_ranks():
+    # the twisted ranks multiply by the rank of F^k(B) at every step
+    n = 3
+    weights = {(2, 1): 2, (1,): 1, (): 1}
+    base = sum(m * weyl_dim(pad(w, n), n) for w, m in weights.items())
+    for functor, ks, factor in (
+            ("wedge", (2,), math.comb(3, 2)),
+            ("sym", (2,), math.comb(4, 2)),
+            ("dual", (1, 2), math.comb(3, 1) * math.comb(3, 2)),
+            ("sym", (), 1)):
+        out = pieri_twist(weights, n, functor, ks)
+        assert all(len(w) == n for w in out)
+        assert sum(m * weyl_dim(w, n) for w, m in out.items()) == base * factor
+
+
+def test_pieri_twist_wedge_is_shifted_complement():
+    # wedge^k B = wedge^(n-k) B* . det B in dual coordinates
+    assert pieri_twist({(): 1}, 3, "wedge", (1,)) == {(0, 0, -1): 1}
+    assert pieri_twist({(1,): 1}, 2, "dual", (1,)) == {(2, 0): 1, (1, 1): 1}
+    with pytest.raises(ValueError):
+        pieri_twist({(): 1}, 2, "tensor", (1,))
