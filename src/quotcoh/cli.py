@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import product
 
 from . import indices, series
 from .bott import (
@@ -53,13 +54,17 @@ def _parse_ints(text: str) -> tuple:
         raise ValueError(f"expected comma-separated integers, got {text!r}")
 
 
-def _parse_sides(text: str, count: int) -> tuple:
-    if not text:
-        return (G2,) * count
-    sides = tuple(s.strip().upper() for s in text.split(","))
+def _parse_factors(args) -> tuple:
+    """The degrees of --ks and their sides from --sides (default all G2)."""
+    ks = _parse_ints(args.ks)
+    if not args.sides:
+        return ks, (G2,) * len(ks)
+    sides = tuple(s.strip().upper() for s in args.sides.split(","))
     if any(s not in (G1, G2) for s in sides):
         raise ValueError("sides must be G1 or G2")
-    return sides
+    if len(sides) != len(ks):
+        raise ValueError("need one side per degree")
+    return ks, sides
 
 
 def _stringify(obj):
@@ -96,10 +101,6 @@ def _emit(doc: dict, fmt: str):
         print(json.dumps(doc))
 
 
-def _weights_doc(w) -> list:
-    return list(w)
-
-
 def _profile_doc(profile) -> dict:
     return {str(i): d for i, d in profile.dims}
 
@@ -118,18 +119,13 @@ def _cohomology_doc(result) -> dict:
 
 
 def _sheaf_from_args(args):
-    side = getattr(args, "side", None) or G2
     if args.functor in ("wedge", "sym") and args.k is None:
         raise ValueError(f"--functor {args.functor} needs --k")
     if args.functor == "wedge":
-        return wedge_power(args.k, side)
+        return wedge_power(args.k, args.side)
     if args.functor == "sym":
-        return sym_power(args.k, side)
-    ks = _parse_ints(args.ks)
-    sides = _parse_sides(getattr(args, "sides", "") or "", len(ks))
-    if len(sides) != len(ks):
-        raise ValueError("need one side per degree")
-    return dual_wedge_product(tuple(zip(ks, sides)))
+        return sym_power(args.k, args.side)
+    return dual_wedge_product(zip(*_parse_factors(args)))
 
 
 def _add_embedding_flags(p):
@@ -182,7 +178,7 @@ def _run_cases(worker, cases, jobs: int):
 
 def _grid_doc(rows) -> dict:
     failures = [
-        {"lambda": _weights_doc(lam), "index": idx, "ks": list(ks)}
+        {"lambda": lam, "index": idx, "ks": ks}
         for lam, idx, ks, ok, _ in rows if not ok
     ]
     return {
@@ -204,8 +200,7 @@ def _cmd_cauchy(args, fmt):
     pairs = cauchy_wedge(args.ell, args.rank_left, args.rank_right)
     _emit({
         "ell": args.ell,
-        "terms": [{"left": _weights_doc(l), "right": _weights_doc(r)}
-                  for l, r in pairs],
+        "terms": [{"left": l, "right": r} for l, r in pairs],
     }, fmt)
     return 0
 
@@ -218,7 +213,7 @@ def _cmd_bwb(args, fmt):
     doc = {"vanishes": res.vanishes}
     if not res.vanishes:
         doc["degree"] = res.degree
-        doc["gl_weight"] = _weights_doc(res.gl_weight)
+        doc["gl_weight"] = res.gl_weight
         doc["dimension"] = weyl_dim(res.gl_weight, args.d)
     doc["chi"] = euler_char(bundle)
     doc["dims"] = {str(i): v for i, v in cohomology_dims(bundle).items()}
@@ -258,115 +253,102 @@ def _cmd_cohomology(args, fmt):
     return 0
 
 
-def _cmd_verify(args, fmt):
-    target = args.target
-    if target in ("theorem-a", "theorem-b", "theorem-c", "props"):
-        for flag in ("N", "n", "m"):
-            if getattr(args, flag) is None:
-                raise ValueError(f"--{flag} is required for {target}")
-    if target in ("theorem-a", "theorem-b"):
-        data = _data_from_args(args)
-        which = "A" if target == "theorem-a" else "B"
-        side = args.side or G2
-        report = verify_theorem(data, which, (args.k,), (side,))
-        _emit({
-            "theorem": which,
-            "expected_h0": report.expected_h0,
-            "computed": _cohomology_doc(report.computed),
-            "verified": report.verified,
-        }, fmt)
-        return 0 if report.verified else 1
-    if target == "theorem-c":
-        data = _data_from_args(args)
-        ks = _parse_ints(args.ks)
-        sides = _parse_sides(args.sides or "", len(ks))
-        report = verify_theorem(data, "C", ks, sides)
-        all_zero = all(p.is_zero for _, p in report.computed.per_term)
-        _emit({
-            "theorem": "C",
-            "all_zero": all_zero,
-            "computed": _cohomology_doc(report.computed),
-            "verified": report.verified,
-        }, fmt)
-        return 0 if report.verified else 1
-    if target == "props":
-        data = _data_from_args(args)
-        wedge_k = args.wedge_k if args.wedge_k is not None else min(1, args.n)
-        sym_k = args.sym_k if args.sym_k is not None else min(2, args.n)
-        dual_ks = _parse_ints(args.dual_ks) or (min(1, args.n),)
-        sheaves = [
-            ("wedge", wedge_power(wedge_k)),
-            ("sym", sym_power(sym_k)),
-            ("dual", dual_wedge_product(tuple((k, G2) for k in dual_ks))),
-        ]
-        doc = {}
-        ok = True
-        for name, sheaf in sheaves:
-            print(f"certifying resolution terms: {sheaf.describe()}",
-                  file=sys.stderr)
-            report = verify_resolution_propositions(data, sheaf)
-            doc[name] = {
-                "rows": [
-                    {"ell": ell, "dims": _profile_doc(p), "ok": row_ok}
-                    for ell, p, row_ok in report.rows
-                ],
-                "verified": report.ok,
-            }
-            ok = ok and report.ok
-        doc["verified"] = ok
-        _emit(doc, fmt)
-        return 0 if ok else 1
-    if target in ("prop-3.1", "prop-3.2", "prop-3.3"):
-        return _cmd_verify_grid(args, fmt)
-    raise ValueError(f"unknown verify target {target!r}")
+def _cmd_theorem_ab(args, fmt):
+    data = _data_from_args(args)
+    report = verify_theorem(data, args.theorem, (args.k,), (args.side,))
+    _emit({
+        "theorem": args.theorem,
+        "expected_h0": report.expected_h0,
+        "computed": _cohomology_doc(report.computed),
+        "verified": report.verified,
+    }, fmt)
+    return 0 if report.verified else 1
 
 
-def _cmd_verify_grid(args, fmt):
-    d, n = args.d, args.n
-    jobs = args.jobs or os.cpu_count() or 1
-    if args.target == "prop-3.1":
-        lams = indices.indexed_partitions(d, n, 0, args.max_size)
-        cases = [(d, n, lam, k) for lam, _ in lams for k in range(n + 1)]
-        rows = _run_cases(_wedge_case, cases, jobs)
-    elif args.target == "prop-3.2":
-        lams = indices.indexed_partitions(d, n, 0, args.max_size)
-        cases = []
-        for lam, rep in lams:
-            cap = n if rep.index == n else args.sym_cap
-            cases.extend((d, n, lam, k) for k in range(cap + 1))
-        rows = _run_cases(_sym_case, cases, jobs)
-    else:
-        r = args.r
-        if args.mode == "plain":
-            lams = indices.indexed_partitions(d, n, r, args.max_size)
-            cases = []
-            for lam, _ in lams:
-                for ks in _tuples_up_to(n, r):
-                    cases.append((d, n, r, lam, ks, "plain", None))
-        else:
-            if r < 1:
-                raise ValueError("plus mode needs r >= 1")
-            cases = []
-            for k in range(n + 1):
-                for lam, _ in indices.indexed_partitions(
-                        d, n, r, args.max_size, k=k):
-                    for ks in _tuples_up_to(n, r - 1):
-                        cases.append((d, n, r, lam, ks, "plus", k))
-        rows = _run_cases(_dual_case, cases, jobs)
-    doc = {"d": d, "n": n}
-    if args.target == "prop-3.3":
-        doc["r"] = args.r
-        doc["mode"] = args.mode
+def _cmd_theorem_c(args, fmt):
+    data = _data_from_args(args)
+    report = verify_theorem(data, "C", *_parse_factors(args))
+    all_zero = all(p.is_zero for _, p in report.computed.per_term)
+    _emit({
+        "theorem": "C",
+        "all_zero": all_zero,
+        "computed": _cohomology_doc(report.computed),
+        "verified": report.verified,
+    }, fmt)
+    return 0 if report.verified else 1
+
+
+def _cmd_props(args, fmt):
+    data = _data_from_args(args)
+    wedge_k = args.wedge_k if args.wedge_k is not None else min(1, args.n)
+    sym_k = args.sym_k if args.sym_k is not None else min(2, args.n)
+    dual_ks = _parse_ints(args.dual_ks) or (min(1, args.n),)
+    sheaves = [
+        ("wedge", wedge_power(wedge_k)),
+        ("sym", sym_power(sym_k)),
+        ("dual", dual_wedge_product(tuple((k, G2) for k in dual_ks))),
+    ]
+    doc = {}
+    ok = True
+    for name, sheaf in sheaves:
+        print(f"certifying resolution terms: {sheaf.describe()}",
+              file=sys.stderr)
+        report = verify_resolution_propositions(data, sheaf)
+        doc[name] = {
+            "rows": [
+                {"ell": ell, "dims": _profile_doc(p), "ok": row_ok}
+                for ell, p, row_ok in report.rows
+            ],
+            "verified": report.ok,
+        }
+        ok = ok and report.ok
+    doc["verified"] = ok
+    _emit(doc, fmt)
+    return 0 if ok else 1
+
+
+def _verify_grid(doc, worker, cases, args, fmt):
+    """Certify every case of a proposition's grid; an empty grid is an
+    input error, not a verified claim."""
+    if not cases:
+        raise ValueError(f"no cases on the grid d={args.d}, n={args.n}")
+    rows = _run_cases(worker, cases, args.jobs or os.cpu_count() or 1)
     doc.update(_grid_doc(rows))
     _emit(doc, fmt)
     return 0 if doc["verified"] else 1
 
 
-def _tuples_up_to(cap: int, length: int) -> list:
-    if length == 0:
-        return [()]
-    shorter = _tuples_up_to(cap, length - 1)
-    return [t + (k,) for t in shorter for k in range(cap + 1)]
+def _cmd_prop_31(args, fmt):
+    d, n = args.d, args.n
+    cases = [(d, n, lam, k)
+             for lam, _ in indices.indexed_partitions(d, n, 0, args.max_size)
+             for k in range(n + 1)]
+    return _verify_grid({"d": d, "n": n}, _wedge_case, cases, args, fmt)
+
+
+def _cmd_prop_32(args, fmt):
+    d, n = args.d, args.n
+    sym_cap = 2 * n if args.sym_cap is None else args.sym_cap
+    if sym_cap < 0:
+        raise ValueError("--sym-cap must be nonnegative")
+    cases = [(d, n, lam, k)
+             for lam, rep in indices.indexed_partitions(d, n, 0, args.max_size)
+             for k in range((n if rep.index == n else sym_cap) + 1)]
+    return _verify_grid({"d": d, "n": n}, _sym_case, cases, args, fmt)
+
+
+def _cmd_prop_33(args, fmt):
+    d, n, r, plus = args.d, args.n, args.r, args.mode == "plus"
+    if plus and r < 1:
+        raise ValueError("plus mode needs r >= 1")
+    # plus mode runs the k-variant index for each k, which takes one degree
+    cases = [(d, n, r, lam, ks, args.mode, k)
+             for k in (range(n + 1) if plus else (None,))
+             for lam, _ in indices.indexed_partitions(d, n, r, args.max_size,
+                                                      k=k)
+             for ks in product(range(n + 1), repeat=r - plus)]
+    return _verify_grid({"d": d, "n": n, "r": r, "mode": args.mode},
+                        _dual_case, cases, args, fmt)
 
 
 def _cmd_conjecture(args, fmt):
@@ -442,39 +424,54 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(func=_cmd_index)
 
-    for name, fn, extra in (("chi", _cmd_chi, False),
-                            ("cohomology", _cmd_cohomology, True)):
+    for name, fn in (("chi", _cmd_chi), ("cohomology", _cmd_cohomology)):
         p = sub.add_parser(name, help=f"{name} of a tautological sheaf")
         _add_embedding_flags(p)
         p.add_argument("--functor", choices=("wedge", "sym", "dual"),
                        required=True)
         p.add_argument("--k", type=int, default=None)
         p.add_argument("--ks", type=str, default="")
-        p.add_argument("--side", choices=(G1, G2), default=None)
+        p.add_argument("--side", choices=(G1, G2), default=G2)
         p.add_argument("--sides", type=str, default="")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("verify", help="verify a stated claim on a grid")
-    p.add_argument("target", choices=(
-        "theorem-a", "theorem-b", "theorem-c", "props",
-        "prop-3.1", "prop-3.2", "prop-3.3"))
-    p.add_argument("--N", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--m", type=int)
-    p.add_argument("--splitting", type=str, default="")
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--ks", type=str, default="")
-    p.add_argument("--side", choices=(G1, G2), default=None)
-    p.add_argument("--sides", type=str, default="")
-    p.add_argument("--wedge-k", dest="wedge_k", type=int, default=None)
-    p.add_argument("--sym-k", dest="sym_k", type=int, default=None)
-    p.add_argument("--dual-ks", dest="dual_ks", type=str, default="")
-    p.add_argument("--d", type=int)
-    p.add_argument("--max-size", dest="max_size", type=int, default=None)
-    p.add_argument("--sym-cap", dest="sym_cap", type=int, default=None)
-    p.add_argument("--mode", choices=("plain", "plus"), default="plain")
-    p.set_defaults(func=_cmd_verify)
+    targets = p.add_subparsers(dest="target", required=True)
+    for name, which in (("theorem-a", "A"), ("theorem-b", "B")):
+        t = targets.add_parser(name, help=f"Theorem {which} on one embedding")
+        _add_embedding_flags(t)
+        t.add_argument("--k", type=int, required=True)
+        t.add_argument("--side", choices=(G1, G2), default=G2)
+        t.set_defaults(func=_cmd_theorem_ab, theorem=which)
+
+    t = targets.add_parser("theorem-c", help="Theorem C on one embedding")
+    _add_embedding_flags(t)
+    t.add_argument("--ks", type=str, required=True)
+    t.add_argument("--sides", type=str, default="")
+    t.set_defaults(func=_cmd_theorem_c)
+
+    t = targets.add_parser("props", help="per-term acyclicity of the "
+                           "resolutions of three sheaves")
+    _add_embedding_flags(t)
+    t.add_argument("--wedge-k", dest="wedge_k", type=int, default=None)
+    t.add_argument("--sym-k", dest="sym_k", type=int, default=None)
+    t.add_argument("--dual-ks", dest="dual_ks", type=str, default="")
+    t.set_defaults(func=_cmd_props)
+
+    grids = {}
+    for name, fn in (("prop-3.1", _cmd_prop_31), ("prop-3.2", _cmd_prop_32),
+                     ("prop-3.3", _cmd_prop_33)):
+        t = grids[name] = targets.add_parser(
+            name, help=f"Proposition {name[5:]} on a grid of partitions")
+        t.add_argument("--d", type=int, required=True)
+        t.add_argument("--n", type=int, required=True)
+        t.add_argument("--max-size", dest="max_size", type=int, default=None)
+        t.set_defaults(func=fn)
+    grids["prop-3.2"].add_argument("--sym-cap", dest="sym_cap", type=int,
+                                   default=None, help="default 2n")
+    grids["prop-3.3"].add_argument("--r", type=int, required=True)
+    grids["prop-3.3"].add_argument("--mode", choices=("plain", "plus"),
+                                   default="plain")
 
     p = sub.add_parser("conjecture", help="compare chi against a closed form")
     p.add_argument("kind", choices=("wedge", "sym", "dual"))
@@ -502,13 +499,6 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0
-    if args.command == "verify" and args.target.startswith("prop-3"):
-        for flag in ("d", "n"):
-            if getattr(args, flag) is None:
-                print(json.dumps({"error": f"--{flag} is required"}))
-                return 2
-        if args.sym_cap is None:
-            args.sym_cap = 2 * args.n
     try:
         return args.func(args, args.format)
     except (ValueError, ArithmeticError) as exc:

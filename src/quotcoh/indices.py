@@ -19,16 +19,10 @@ from .bott import GrassmannianContext, bwb, quot_dual_bundle
 from .partitions import (
     as_partition,
     part,
-    size,
     transpose,
     enumerate_in_box,
 )
-from .schur import (
-    double_bundle_expand,
-    direct_sum_expand,
-    lr_expand_tensor,
-    pieri_twist,
-)
+from .schur import double_bundle_expand, double_bundle_triples, pieri_twist
 
 SHAPE_PLAIN = "plain"
 SHAPE_A = "a"
@@ -257,23 +251,17 @@ def lemma_triples(d: int, n: int, lam) -> list:
         raise ValueError(f"{lam} has no index for n={n}")
     i = rep.index
     out = []
-    for alpha, beta, c1 in direct_sum_expand(lam):
-        if len(alpha) > n or len(beta) > n:
-            continue
-        for gamma, c2 in lr_expand_tensor(alpha, beta).items():
-            if len(gamma) > n or not c1 * c2:
-                continue
-            prefix = sum(part(alpha, j) + part(beta, j)
-                         for j in range(1, i + 1))
-            if i < n:
-                tail = part(gamma, i + 1) >= i
-            else:
-                tail = part(gamma, n) >= 2 * n
-            out.append(TripleCheck(
-                alpha, beta, gamma,
-                part(alpha, i) >= i,
-                prefix <= i * (d - n + i - 1),
-                i + 1 <= part(gamma, i) <= d - n + i - 1,
-                tail,
-            ))
+    for alpha, beta, gamma, _ in double_bundle_triples(lam, n):
+        prefix = sum(part(alpha, j) + part(beta, j) for j in range(1, i + 1))
+        if i < n:
+            tail = part(gamma, i + 1) >= i
+        else:
+            tail = part(gamma, n) >= 2 * n
+        out.append(TripleCheck(
+            alpha, beta, gamma,
+            part(alpha, i) >= i,
+            prefix <= i * (d - n + i - 1),
+            i + 1 <= part(gamma, i) <= d - n + i - 1,
+            tail,
+        ))
     return out

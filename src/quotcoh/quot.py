@@ -27,14 +27,11 @@ from .bott import (
 )
 from .partitions import (
     binom,
-    enumerate_in_box,
     negate_reverse,
     pad,
-    size,
-    transpose,
     weyl_dim,
 )
-from .schur import double_bundle_expand, pieri_twist
+from .schur import cauchy_wedge, double_bundle_expand, pieri_twist
 
 G1 = "G1"
 G2 = "G2"
@@ -227,8 +224,8 @@ def resolution_terms(data: EmbeddingData, sheaf: TautologicalSheaf,
     g2_ks = _side_ks(sheaf, G2)
     zeros2 = (0,) * (data.d2 - data.q2)
     acc: dict = {}
-    for lam in enumerate_in_box(2 * data.q2, sub_len, ell):
-        sub1 = pad(transpose(lam), sub_len)
+    for lam_t, lam in cauchy_wedge(ell, sub_len, 2 * data.q2):
+        sub1 = pad(lam_t, sub_len)
         g1_bundles = [
             (HomogeneousBundle(ctx1, w, sub1), m)
             for w, m in g1_quots.items()

@@ -132,18 +132,27 @@ def direct_sum_expand(lam) -> list:
     return list(_direct_sum_cached(as_partition(lam)))
 
 
+def double_bundle_triples(lam, n: int):
+    """Walk the doubled-bundle expansion of S_lam one triple at a time.
+
+    Yields (alpha, beta, gamma, c^lam_{alpha,beta} c^gamma_{alpha,beta}) over
+    nonzero products with alpha, beta and gamma of at most n rows.
+    """
+    for alpha, beta, c1 in _direct_sum_cached(as_partition(lam)):
+        if len(alpha) > n or len(beta) > n:
+            continue
+        for gamma, c2 in _lr_expand_cached(alpha, beta):
+            if len(gamma) <= n:
+                yield alpha, beta, gamma, c1 * c2
+
+
 @lru_cache(maxsize=None)
 def _double_bundle_cached(lam, n) -> tuple:
     if len(lam) > 2 * n:
         raise ValueError(f"{lam} has more than {2 * n} rows")
     acc: dict = {}
-    for alpha, beta, c1 in _direct_sum_cached(lam):
-        if len(alpha) > n or len(beta) > n:
-            continue
-        for gamma, c2 in _lr_expand_cached(alpha, beta):
-            if len(gamma) > n:
-                continue
-            acc[gamma] = acc.get(gamma, 0) + c1 * c2
+    for _, _, gamma, c in double_bundle_triples(lam, n):
+        acc[gamma] = acc.get(gamma, 0) + c
     return tuple(sorted(acc.items(), reverse=True))
 
 

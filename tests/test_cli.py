@@ -168,6 +168,27 @@ def test_invalid_inputs_exit_2(capsys):
     code, out = run_cli(capsys, "nonsense")
     assert code == 2
 
+    # each verify target takes exactly its own flags
+    code, doc = run_json(capsys, "verify", "theorem-a", "--N", "2", "--n", "2",
+                         "--m", "2")
+    assert code == 2 and "--k" in doc["error"]
+    code, doc = run_json(capsys, "verify", "prop-3.1", "--d", "6", "--n", "2",
+                         "--k", "2")
+    assert code == 2 and "--k" in doc["error"]
+    code, doc = run_json(capsys, "verify", "prop-3.3", "--d", "7", "--n", "2")
+    assert code == 2 and "--r" in doc["error"]
+    code, doc = run_json(capsys, "verify", "prop-3.1", "--n", "2")
+    assert code == 2 and "--d" in doc["error"]
+
+    # an empty or truncated grid is not a verified claim
+    for argv in (("prop-3.1", "--d", "6", "--n", "2", "--max-size", "0"),
+                 ("prop-3.1", "--d", "3", "--n", "2")):
+        code, doc = run_json(capsys, "--jobs", "1", "verify", *argv)
+        assert code == 2 and "no cases" in doc["error"]
+    code, doc = run_json(capsys, "--jobs", "1", "verify", "prop-3.2", "--d",
+                         "6", "--n", "2", "--sym-cap", "-1")
+    assert code == 2 and "--sym-cap" in doc["error"]
+
 
 def test_byte_stable_output(capsys):
     _, first = run_cli(capsys, "cohomology", "--N", "2", "--n", "1", "--r",
