@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 
 from . import indices, series
@@ -171,6 +170,9 @@ def _worker_count(jobs: int, ncases: int) -> int:
 def _run_cases(worker, cases, jobs: int):
     workers = _worker_count(jobs, len(cases))
     if workers > 1:
+        # Imported here: it loads multiprocessing, which most commands skip.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, cases, chunksize=8))
     return [worker(c) for c in cases]

@@ -22,10 +22,9 @@ def binom(n: int, k: int) -> int:
 def as_partition(parts) -> tuple:
     """Validate and normalize a partition: weakly decreasing, nonnegative,
     trailing zeros stripped."""
-    t = tuple(int(p) for p in parts)
-    for a, b in zip(t, t[1:]):
-        if a < b:
-            raise ValueError(f"not weakly decreasing: {t}")
+    t = tuple(map(int, parts))
+    if tuple(sorted(t, reverse=True)) != t:
+        raise ValueError(f"not weakly decreasing: {t}")
     if t and t[-1] < 0:
         raise ValueError(f"negative part in partition: {t}")
     while t and t[-1] == 0:
@@ -35,10 +34,9 @@ def as_partition(parts) -> tuple:
 
 def as_weight(entries) -> tuple:
     """Validate a dominant weight: weakly decreasing integers, length kept."""
-    t = tuple(int(e) for e in entries)
-    for a, b in zip(t, t[1:]):
-        if a < b:
-            raise ValueError(f"not weakly decreasing: {t}")
+    t = tuple(map(int, entries))
+    if tuple(sorted(t, reverse=True)) != t:
+        raise ValueError(f"not weakly decreasing: {t}")
     return t
 
 

@@ -332,6 +332,19 @@ class TheoremReport:
     notes: tuple = ()
 
 
+def _check_theorem_c(data: EmbeddingData, ks: tuple, sides: tuple):
+    """Raise unless the dualized product with these degrees and sides meets
+    Theorem C's hypotheses."""
+    if not ks or all(k == 0 for k in ks):
+        raise ValueError("at least one degree must be positive")
+    if len(ks) > data.N - 1:
+        raise ValueError(f"at most N-1={data.N - 1} factors allowed")
+    if sides.count(G1) > 1:
+        raise ValueError("at most one factor may use the lower twist")
+    if data.m < data.n:
+        raise ValueError("need deg M = m >= n")
+
+
 def verify_theorem(data: EmbeddingData, which: str, ks, sides=None) -> TheoremReport:
     """Check one of the three global-sections statements on given data.
 
@@ -367,14 +380,7 @@ def verify_theorem(data: EmbeddingData, which: str, ks, sides=None) -> TheoremRe
         if not computed.degenerate:
             notes.append("some term in degrees >= 1 carries cohomology")
     elif which == "C":
-        if not ks or all(k == 0 for k in ks):
-            raise ValueError("at least one degree must be positive")
-        if len(ks) > data.N - 1:
-            raise ValueError(f"at most N-1={data.N - 1} factors allowed")
-        if sum(1 for s in sides if s == G1) > 1:
-            raise ValueError("at most one factor may use the lower twist")
-        if data.m < data.n:
-            raise ValueError("need deg M = m >= n")
+        _check_theorem_c(data, ks, sides)
         sheaf = dual_wedge_product(tuple(zip(ks, sides)))
         expected = 0
         computed = quot_cohomology(data, sheaf)
@@ -400,7 +406,7 @@ def verify_resolution_propositions(data: EmbeddingData,
 
     Exterior and symmetric twists must be acyclic in degrees >= 1 with the
     degree-0 term concentrated in cohomological degree 0; dualized products
-    must be acyclic everywhere.
+    must be acyclic everywhere, and are held to Theorem C's hypotheses.
     """
     if data.r != 0:
         raise ValueError("per-term certification is stated for r = 0")
@@ -408,6 +414,8 @@ def verify_resolution_propositions(data: EmbeddingData,
         k, side = sheaf.ks[0], sheaf.sides[0]
         if not data.twist_degree(side) >= data.n >= k:
             raise ValueError("symmetric case needs deg L >= n >= k")
+    elif sheaf.functor == "dual":
+        _check_theorem_c(data, sheaf.ks, sheaf.sides)
     rows = []
     for ell in range(data.rank_e + 1):
         profile = term_cohomology(resolution_terms(data, sheaf, ell))

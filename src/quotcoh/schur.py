@@ -10,6 +10,13 @@ cached per weight and degree, because every twist meets the same expanded
 weights again.  (weyl_dim in partitions and _bott in bott are the other
 two caches; they pay for the same reason at the Kunneth step.)
 
+The doubled-bundle expansion of S_lam(B* + B*), B of rank n, keeps only
+pieces with at most n rows, so n travels down as a row bound: the
+direct-sum step builds only alpha and beta, and the tensor step only
+gamma, of at most n rows.  The public direct_sum_expand and
+lr_expand_tensor pass their natural bounds, len(lam) and
+len(alpha) + len(beta), through the same two cached functions.
+
 The Pieri rules act directly on dominant weights with possibly negative
 entries; this is legitimate because both rules commute with twisting every
 entry by the same determinant power, the usual normalization that makes
@@ -94,12 +101,11 @@ def _count_tableaux(alpha, beta, gamma) -> int:
 
 
 @lru_cache(maxsize=None)
-def _lr_expand_cached(alpha, beta) -> tuple:
+def _lr_expand_cached(alpha, beta, rows) -> tuple:
     total = size(alpha) + size(beta)
-    max_rows = len(alpha) + len(beta)
     max_cols = (alpha[0] if alpha else 0) + (beta[0] if beta else 0)
     out = []
-    for gamma in enumerate_in_box(max_rows, max_cols, total):
+    for gamma in enumerate_in_box(rows, max_cols, total):
         c = lr_coefficient(alpha, beta, gamma)
         if c:
             out.append((gamma, c))
@@ -108,15 +114,18 @@ def _lr_expand_cached(alpha, beta) -> tuple:
 
 def lr_expand_tensor(alpha, beta) -> dict:
     """All gamma with c^gamma_{alpha,beta} != 0, as {gamma: coefficient}."""
-    return dict(_lr_expand_cached(as_partition(alpha), as_partition(beta)))
+    alpha, beta = as_partition(alpha), as_partition(beta)
+    return dict(_lr_expand_cached(alpha, beta, len(alpha) + len(beta)))
 
 
 @lru_cache(maxsize=None)
-def _direct_sum_cached(lam) -> tuple:
+def _direct_sum_cached(lam, rows) -> tuple:
+    # alpha is contained in lam, so the alpha of at most `rows` rows are
+    # the subpartitions of lam's first `rows` rows.
     out = []
-    for alpha in subpartitions(lam):
+    for alpha in subpartitions(lam[:rows]):
         rest = size(lam) - size(alpha)
-        for beta in enumerate_in_box(len(lam), lam[0] if lam else 0, rest):
+        for beta in enumerate_in_box(rows, lam[0] if lam else 0, rest):
             c = lr_coefficient(alpha, beta, lam)
             if c:
                 out.append((alpha, beta, c))
@@ -129,7 +138,8 @@ def direct_sum_expand(lam) -> list:
     Returns the triples (alpha, beta, c^lam_{alpha,beta}) with nonzero
     coefficient.
     """
-    return list(_direct_sum_cached(as_partition(lam)))
+    lam = as_partition(lam)
+    return list(_direct_sum_cached(lam, len(lam)))
 
 
 def double_bundle_triples(lam, n: int):
@@ -138,12 +148,14 @@ def double_bundle_triples(lam, n: int):
     Yields (alpha, beta, gamma, c^lam_{alpha,beta} c^gamma_{alpha,beta}) over
     nonzero products with alpha, beta and gamma of at most n rows.
     """
-    for alpha, beta, c1 in _direct_sum_cached(as_partition(lam)):
-        if len(alpha) > n or len(beta) > n:
-            continue
-        for gamma, c2 in _lr_expand_cached(alpha, beta):
-            if len(gamma) <= n:
-                yield alpha, beta, gamma, c1 * c2
+    lam = as_partition(lam)
+    # A nonzero alpha or beta has no more rows than lam, and a nonzero gamma
+    # no more than alpha and beta together, so a larger n builds nothing
+    # more; capping it there also shares the public expansions' entries.
+    for alpha, beta, c1 in _direct_sum_cached(lam, min(n, len(lam))):
+        rows = min(n, len(alpha) + len(beta))
+        for gamma, c2 in _lr_expand_cached(alpha, beta, rows):
+            yield alpha, beta, gamma, c1 * c2
 
 
 @lru_cache(maxsize=None)
@@ -257,17 +269,19 @@ def pieri_twist(weights: dict, n: int, functor: str, ks) -> dict:
     """
     if functor not in ("wedge", "sym", "dual"):
         raise ValueError(f"unknown functor {functor!r}")
-    acc = {pad(w, n): mult for w, mult in weights.items()}
+    # Every later weight comes out of a Pieri rule already valid, so only
+    # the input is checked.
+    acc = {as_weight(pad(w, n)): mult for w, mult in weights.items()}
     for k in ks:
         step: dict = {}
         for w, mult in acc.items():
             if functor == "wedge":
                 summands = [tuple(e - 1 for e in v)
-                            for v in pieri_wedge(w, n - k)]
+                            for v in _pieri_wedge_cached(w, n - k, False)]
             elif functor == "sym":
-                summands = pieri_sym(w, k, dualized=True)
+                summands = _pieri_sym_cached(w, k, True)
             else:
-                summands = pieri_wedge(w, k)
+                summands = _pieri_wedge_cached(w, k, False)
             for v in summands:
                 step[v] = step.get(v, 0) + mult
         acc = step

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -179,6 +180,10 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2 and "--r" in doc["error"]
     code, doc = run_json(capsys, "verify", "prop-3.1", "--n", "2")
     assert code == 2 and "--d" in doc["error"]
+    # props holds its dualized product to Theorem C's hypotheses
+    code, doc = run_json(capsys, "verify", "props", "--N", "2", "--n", "1",
+                         "--m", "1", "--dual-ks", "1,1")
+    assert code == 2 and "N-1" in doc["error"]
 
     # an empty or truncated grid is not a verified claim
     for argv in (("prop-3.1", "--d", "6", "--n", "2", "--max-size", "0"),
@@ -246,6 +251,6 @@ def test_grid_workers_capped_by_cores_and_cases(monkeypatch):
             return map(fn, cases)
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     assert cli._run_cases(abs, [-1, -2, -3], 5000) == [1, 2, 3]
     assert sizes == [2]

@@ -183,6 +183,9 @@ def test_resolution_propositions():
         assert rep.ok and len(rep.rows) == data.rank_e + 1
     with pytest.raises(ValueError):
         verify_resolution_propositions(data, sym_power(3))  # needs k <= n
+    with pytest.raises(ValueError):  # Theorem C allows N-1 = 1 factor
+        verify_resolution_propositions(
+            data, dual_wedge_product(((1, G2), (1, G2))))
 
 
 def test_conjecture_projective_space():

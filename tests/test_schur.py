@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from quotcoh.partitions import (
     add,
+    all_in_box,
     contains,
     dominates,
     enumerate_in_box,
@@ -126,6 +127,34 @@ def test_double_bundle_dimension_identity():
             assert total == weyl_dim(pad(lam, 2 * n), 2 * n), lam
 
 
+def test_double_bundle_row_cap_matches_uncapped():
+    # the row-capped expansion keeps exactly the rank-n pieces of the
+    # uncapped public expansions; pairs with a tall alpha or beta are
+    # skipped because every gamma contains both (test_lr_support_facts)
+    for n in (1, 2, 3):
+        for lam in all_in_box(2 * n, 4):
+            want: dict = {}
+            for alpha, beta, c1 in direct_sum_expand(lam):
+                if len(alpha) > n or len(beta) > n:
+                    continue
+                for gamma, c2 in lr_expand_tensor(alpha, beta).items():
+                    if len(gamma) <= n:
+                        want[gamma] = want.get(gamma, 0) + c1 * c2
+            assert double_bundle_expand(lam, n) == want, (lam, n)
+    # the public expansions still reach their natural row bounds
+    for a, b in (((1, 1), (1, 1, 1)), ((2, 1, 1), (1, 1))):
+        nvars = len(a) + len(b)
+        assert lr_expand_tensor(a, b) == schur_product(a, b, nvars), (a, b)
+    assert set(direct_sum_expand((1, 1, 1))) == {
+        ((1, 1, 1), (), 1), ((1, 1), (1,), 1), ((1,), (1, 1), 1),
+        ((), (1, 1, 1), 1)}
+    for lam in ((2, 1, 1), (2, 2, 1, 1)):
+        r = len(lam)
+        total = sum(c * weyl_dim(pad(a, r), r) * weyl_dim(pad(b, r), r)
+                    for a, b, c in direct_sum_expand(lam))
+        assert total == weyl_dim(pad(lam, 2 * r), 2 * r), lam
+
+
 def test_cauchy_wedge_examples():
     assert cauchy_wedge(1, 3, 2) == [((1,), (1,))]
     assert cauchy_wedge(2, 3, 2) == [((1, 1), (2,)), ((2,), (1, 1))]
@@ -218,3 +247,6 @@ def test_pieri_twist_wedge_is_shifted_complement():
     assert pieri_twist({(1,): 1}, 2, "dual", (1,)) == {(2, 0): 1, (1, 1): 1}
     with pytest.raises(ValueError):
         pieri_twist({(): 1}, 2, "tensor", (1,))
+    # input weights are checked after padding: (1, -1, 0) is not dominant
+    with pytest.raises(ValueError):
+        pieri_twist({(1, -1): 1}, 3, "sym", (1,))
