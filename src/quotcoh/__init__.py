@@ -58,6 +58,7 @@ from .quot import (
     resolution_terms,
     sym_power,
     term_cohomology,
+    term_profiles,
     verify_resolution_propositions,
     verify_theorem,
     wedge_power,

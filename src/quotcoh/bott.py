@@ -42,6 +42,14 @@ class GrassmannianContext:
         return self.n * (self.d - self.n)
 
 
+def check_weight(entries, length: int, what: str) -> tuple:
+    """Validate a dominant weight that must have the given length."""
+    w = as_weight(entries)
+    if len(w) != length:
+        raise ValueError(f"{what} weight {w} must have length {length}")
+    return w
+
+
 @dataclass(frozen=True)
 class HomogeneousBundle:
     """S_quot(B) . S_sub(A) on the Grassmannian ctx."""
@@ -51,14 +59,10 @@ class HomogeneousBundle:
     sub: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "quot", as_weight(self.quot))
-        object.__setattr__(self, "sub", as_weight(self.sub))
-        if len(self.quot) != self.ctx.n:
-            raise ValueError(f"quotient weight {self.quot} must have length "
-                             f"{self.ctx.n}")
-        if len(self.sub) != self.ctx.sub_rank:
-            raise ValueError(f"sub weight {self.sub} must have length "
-                             f"{self.ctx.sub_rank}")
+        object.__setattr__(self, "quot",
+                           check_weight(self.quot, self.ctx.n, "quotient"))
+        object.__setattr__(self, "sub",
+                           check_weight(self.sub, self.ctx.sub_rank, "sub"))
 
     def rank(self) -> int:
         return weyl_dim(self.quot, self.ctx.n) * weyl_dim(
@@ -88,7 +92,13 @@ def sub_bundle(ctx: GrassmannianContext, mu) -> HomogeneousBundle:
 
 
 @lru_cache(maxsize=None)
-def _bott(d: int, weight: tuple) -> Optional[tuple]:
+def bwb_weight(d: int, weight: tuple) -> Optional[tuple]:
+    """Borel-Weil-Bott on a concatenated weight quot + sub of length d.
+
+    Returns None when every group vanishes, else (degree, gl_weight).  The
+    weight is taken as valid: callers check it once, as HomogeneousBundle
+    does.
+    """
     shifted = [weight[i] + d - 1 - i for i in range(d)]
     if len(set(shifted)) < d:
         return None
@@ -105,7 +115,7 @@ def _bott(d: int, weight: tuple) -> Optional[tuple]:
 
 def bwb(bundle: HomogeneousBundle) -> BWBResult:
     """Run the Borel-Weil-Bott algorithm on a homogeneous bundle."""
-    res = _bott(bundle.ctx.d, bundle.quot + bundle.sub)
+    res = bwb_weight(bundle.ctx.d, bundle.quot + bundle.sub)
     if res is None:
         return BWBResult(True)
     degree, gl = res

@@ -26,6 +26,7 @@ from .quot import (
     G1,
     G2,
     check_conjecture,
+    check_proposition_hypotheses,
     dual_wedge_product,
     embedding_data,
     quot_cohomology,
@@ -38,6 +39,13 @@ from .schur import cauchy_wedge, lr_coefficient
 
 
 class _Parser(argparse.ArgumentParser):
+    # Every flag must be spelled in full: with prefix matching a flag that a
+    # subcommand lacks could be read as a longer one it has.  Subparsers are
+    # built from this class, so they inherit the setting.
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
+
     def error(self, message):
         print(json.dumps({"error": message}))
         raise SystemExit(2)
@@ -290,6 +298,9 @@ def _cmd_props(args, fmt):
         ("sym", sym_power(sym_k)),
         ("dual", dual_wedge_product(tuple((k, G2) for k in dual_ks))),
     ]
+    # Every sheaf is checked before any is resolved.
+    for _, sheaf in sheaves:
+        check_proposition_hypotheses(data, sheaf)
     doc = {}
     ok = True
     for name, sheaf in sheaves:

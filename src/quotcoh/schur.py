@@ -7,8 +7,8 @@ it.  The reuse sits one level up.  The tensor, direct-sum and doubled-bundle
 expansions are cached per input, because every sheaf resolved on an
 embedding meets the same partitions lam again; the two Pieri rules are
 cached per weight and degree, because every twist meets the same expanded
-weights again.  (weyl_dim in partitions and _bott in bott are the other
-two caches; they pay for the same reason at the Kunneth step.)
+weights again.  (weyl_dim in partitions and bwb_weight in bott are the
+other two caches; they pay for the same reason at the Kunneth step.)
 
 The doubled-bundle expansion of S_lam(B* + B*), B of rank n, keeps only
 pieces with at most n rows, so n travels down as a row bound: the

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -193,6 +194,47 @@ def test_invalid_inputs_exit_2(capsys):
     code, doc = run_json(capsys, "--jobs", "1", "verify", "prop-3.2", "--d",
                          "6", "--n", "2", "--sym-cap", "-1")
     assert code == 2 and "--sym-cap" in doc["error"]
+
+    # flags are never matched by prefix: --m is not --max-size, and --side
+    # is not --sides
+    code, doc = run_json(capsys, "verify", "prop-3.1", "--d", "6", "--n",
+                         "2", "--m", "2")
+    assert code == 2 and "--m" in doc["error"]
+    code, doc = run_json(capsys, "verify", "theorem-c", "--N", "3", "--n",
+                         "1", "--m", "1", "--ks", "1", "--side", "G1")
+    assert code == 2 and "--side" in doc["error"]
+
+
+def test_props_checks_every_sheaf_before_resolving(capsys):
+    # the dualized product and the symmetric power come after the exterior
+    # power, but an invalid one is rejected before anything is certified
+    for flag, value in (("--dual-ks", "1,1"), ("--sym-k", "2")):
+        code = cli.run(["verify", "props", "--N", "2", "--n", "1", "--m",
+                        "1", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2 and "error" in json.loads(captured.out)
+        assert "certifying" not in captured.err, flag
+
+
+def _readme_commands():
+    """The quotcoh invocations of the README's command-line block."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.startswith("quotcoh ")]
+
+
+def test_readme_commands_run(capsys):
+    commands = _readme_commands()
+    assert len(commands) == 19
+    for argv in commands:
+        # --jobs 1 keeps the grid targets from forking a pool
+        code, out = run_cli(capsys, "--jobs", "1", *argv)
+        assert code == 0, argv
+        json.loads(out)
 
 
 def test_byte_stable_output(capsys):

@@ -13,6 +13,7 @@ from quotcoh.quot import (
     sheaf_rank,
     sym_power,
     term_cohomology,
+    term_profiles,
     verify_resolution_propositions,
     verify_theorem,
     wedge_power,
@@ -101,6 +102,41 @@ def test_rank_bookkeeping():
             term = resolution_terms(data, sheaf, ell)
             assert term.total_rank() == \
                 math.comb(data.rank_e, ell) * expected_unit, (sheaf, ell)
+
+
+def _cross_check_sheaves(data):
+    """Every exterior and symmetric power on each side, and every
+    dualized product of one G1 factor with one G2 factor."""
+    sheaves = [dual_wedge_product(((k1, G1), (k2, G2)))
+               for k1 in range(1, data.q1 + 1)
+               for k2 in range(1, data.q2 + 1)]
+    for side in (G1, G2):
+        for k in range(data.quotient_rank(side) + 1):
+            sheaves += [wedge_power(k, side), sym_power(k, side)]
+    return sheaves
+
+
+def test_factored_profiles_match_explicit_summands():
+    # term_profiles never expands the G2 side of a Cauchy piece whose G1
+    # factor is acyclic; the explicit summand list is the reference.
+    live = 0
+    for N, splitting in ((2, None), (2, (1, 0)), (3, None)):
+        for n in (1, 2, 3):
+            for r in range(N):
+                for m in (n, n + 1, n + 2):
+                    data = embedding_data(N, splitting, n, r, m)
+                    if data.rank_e > 16:
+                        continue
+                    for sheaf in _cross_check_sheaves(data):
+                        profiles = list(term_profiles(data, sheaf))
+                        assert [ell for ell, _ in profiles] == \
+                            list(range(data.rank_e + 1))
+                        for ell, profile in profiles:
+                            want = term_cohomology(
+                                resolution_terms(data, sheaf, ell))
+                            assert profile == want, (data, sheaf, ell)
+                            live += not profile.is_zero
+    assert live >= 700  # the comparison is not between empty profiles
 
 
 def test_quot_cohomology_examples():
