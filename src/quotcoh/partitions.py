@@ -138,21 +138,24 @@ def enumerate_in_box(max_rows: int, max_cols: int, total: int) -> list:
     if min(max_rows, max_cols, total) < 0:
         raise ValueError("arguments must be nonnegative")
     out = []
-    stack = []
-
-    def fill(remaining, largest, rows_left):
-        if remaining == 0:
-            out.append(tuple(stack))
-            return
-        if rows_left == 0 or largest * rows_left < remaining:
-            return
-        for p in range(min(largest, remaining), 0, -1):
-            stack.append(p)
-            fill(remaining - p, p, rows_left - 1)
-            stack.pop()
-
-    fill(total, max_cols, max_rows)
+    _fill_box(out, [], total, max_cols, max_rows)
     return out
+
+
+def _fill_box(out, stack, remaining, largest, rows_left):
+    # The recursive walks in this package are module-level functions that
+    # take their state as arguments.  A nested function that calls itself
+    # is a reference cycle, so each call would leave its output behind for
+    # the cyclic collector instead of freeing it on return.
+    if remaining == 0:
+        out.append(tuple(stack))
+        return
+    if rows_left == 0 or largest * rows_left < remaining:
+        return
+    for p in range(min(largest, remaining), 0, -1):
+        stack.append(p)
+        _fill_box(out, stack, remaining - p, p, rows_left - 1)
+        stack.pop()
 
 
 def all_in_box(max_rows: int, max_cols: int) -> list:
@@ -167,16 +170,15 @@ def all_in_box(max_rows: int, max_cols: int) -> list:
 def subpartitions(lam) -> list:
     """All partitions contained in lam, in decreasing lexicographic order."""
     out = []
-    stack = []
-
-    def fill(i, cap):
-        out.append(tuple(stack))
-        if i == len(lam):
-            return
-        for p in range(min(cap, lam[i]), 0, -1):
-            stack.append(p)
-            fill(i + 1, p)
-            stack.pop()
-
-    fill(0, lam[0] if lam else 0)
+    _fill_sub(out, [], lam, 0, lam[0] if lam else 0)
     return sorted(out, reverse=True)
+
+
+def _fill_sub(out, stack, lam, i, cap):
+    out.append(tuple(stack))
+    if i == len(lam):
+        return
+    for p in range(min(cap, lam[i]), 0, -1):
+        stack.append(p)
+        _fill_sub(out, stack, lam, i + 1, p)
+        stack.pop()

@@ -76,28 +76,35 @@ def _count_tableaux(alpha, beta, gamma) -> int:
     counts = [0] * (nlab + 1)
     vals = [[0] * gamma[0] for _ in range(rows)]
 
-    def fill(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c, below = cells[idx]
-        hi = vals[r][c + 1] if c + 1 < gamma[r] else nlab
-        lo = vals[r - 1][c] + 1 if r > 0 and c >= alpha_p[r - 1] else 1
-        total = 0
-        for v in range(lo, min(hi, nlab - below) + 1):
-            if remaining[v - 1] == 0:
-                continue
-            if v > 1 and counts[v - 1] <= counts[v]:
-                continue
-            remaining[v - 1] -= 1
-            counts[v] += 1
-            vals[r][c] = v
-            total += fill(idx + 1)
-            vals[r][c] = 0
-            counts[v] -= 1
-            remaining[v - 1] += 1
-        return total
+    return _count_from(0, cells, vals, remaining, counts, nlab, alpha_p,
+                       gamma)
 
-    return fill(0)
+
+def _count_from(idx, cells, vals, remaining, counts, nlab, alpha_p,
+                gamma) -> int:
+    """Count the ways to fill cells[idx:] given the partial filling vals,
+    the labels still to place (remaining) and those placed (counts).  A
+    module-level recursion, so no call leaves a reference cycle behind."""
+    if idx == len(cells):
+        return 1
+    r, c, below = cells[idx]
+    hi = vals[r][c + 1] if c + 1 < gamma[r] else nlab
+    lo = vals[r - 1][c] + 1 if r > 0 and c >= alpha_p[r - 1] else 1
+    total = 0
+    for v in range(lo, min(hi, nlab - below) + 1):
+        if remaining[v - 1] == 0:
+            continue
+        if v > 1 and counts[v - 1] <= counts[v]:
+            continue
+        remaining[v - 1] -= 1
+        counts[v] += 1
+        vals[r][c] = v
+        total += _count_from(idx + 1, cells, vals, remaining, counts, nlab,
+                             alpha_p, gamma)
+        vals[r][c] = 0
+        counts[v] -= 1
+        remaining[v - 1] += 1
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -226,26 +233,26 @@ def _pieri_sym_cached(w, k, dualized) -> tuple:
     if r == 0:
         return ((),) if k == 0 else ()
     out = []
-    stack = []
-
-    def fill(j, left):
-        if j == r:
-            if left == 0:
-                out.append(tuple(stack))
-            return
-        if dualized:
-            # Drops interlace below w: w_j >= nu_j >= w_{j+1}.
-            cap = left if j == r - 1 else min(left, w[j] - w[j + 1])
-        else:
-            # Gains interlace above w: nu_j >= w_j >= nu_{j+1}.
-            cap = left if j == 0 else min(left, w[j - 1] - w[j])
-        for a in range(cap + 1):
-            stack.append(w[j] - a if dualized else w[j] + a)
-            fill(j + 1, left - a)
-            stack.pop()
-
-    fill(0, k)
+    _fill_interlacing(out, [], w, dualized, 0, k)
     return tuple(sorted(out, reverse=True))
+
+
+def _fill_interlacing(out, stack, w, dualized, j, left):
+    r = len(w)
+    if j == r:
+        if left == 0:
+            out.append(tuple(stack))
+        return
+    if dualized:
+        # Drops interlace below w: w_j >= nu_j >= w_{j+1}.
+        cap = left if j == r - 1 else min(left, w[j] - w[j + 1])
+    else:
+        # Gains interlace above w: nu_j >= w_j >= nu_{j+1}.
+        cap = left if j == 0 else min(left, w[j - 1] - w[j])
+    for a in range(cap + 1):
+        stack.append(w[j] - a if dualized else w[j] + a)
+        _fill_interlacing(out, stack, w, dualized, j + 1, left - a)
+        stack.pop()
 
 
 def pieri_sym(w, k: int, dualized: bool = False) -> dict:

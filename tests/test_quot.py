@@ -1,7 +1,10 @@
+import gc
 import math
 
 import pytest
 
+from quotcoh import schur
+from quotcoh.partitions import enumerate_in_box, subpartitions
 from quotcoh.quot import (
     G1,
     G2,
@@ -301,3 +304,22 @@ def test_conjecture_bound_sharpness_probe():
     chi = quot_cohomology(data, wedge_power(k, G2)).chi
     predicted = math.comb(8, k)
     print(f"sharpness probe: k={k} computed chi={chi} closed form={predicted}")
+
+
+def test_recursive_walks_leave_no_reference_cycles():
+    # Each walk frees its work when it returns, so the cyclic collector
+    # finds nothing after the raw enumerations and a whole resolution.
+    # _pieri_sym_cached is called through __wrapped__ so a warm cache
+    # cannot skip its walk.
+    data = embedding_data(2, None, 2, 0, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_in_box(4, 4, 6)
+        subpartitions((3, 2, 1))
+        schur.lr_coefficient((2, 1), (2, 1), (3, 2, 1))
+        schur._pieri_sym_cached.__wrapped__((2, 1, 0), 3, False)
+        quot_cohomology(data, sym_power(2, G1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
