@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from itertools import product
 
 from . import indices, series
@@ -245,20 +246,17 @@ def _cmd_index(args, fmt):
     return 0
 
 
-def _cmd_chi(args, fmt):
-    data = _data_from_args(args)
-    sheaf = _sheaf_from_args(args)
-    result = quot_cohomology(data, sheaf)
-    _emit({"sheaf": sheaf.describe(), "chi": result.chi}, fmt)
-    return 0
-
-
 def _cmd_cohomology(args, fmt):
+    """chi and cohomology of a sheaf; chi emits the Euler characteristic
+    alone."""
     data = _data_from_args(args)
     sheaf = _sheaf_from_args(args)
     result = quot_cohomology(data, sheaf)
     doc = {"sheaf": sheaf.describe()}
-    doc.update(_cohomology_doc(result))
+    if args.command == "chi":
+        doc["chi"] = result.chi
+    else:
+        doc.update(_cohomology_doc(result))
     _emit(doc, fmt)
     return 0
 
@@ -405,7 +403,11 @@ def _cmd_series(args, fmt):
     return 0 if comparison.equal else 1
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The command line parser, built once per process: argparse's objects
+    form reference cycles, and every default below is immutable, so one
+    parser serves every call of run."""
     parser = _Parser(prog="quotcoh", description=__doc__)
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
     parser.add_argument("--jobs", type=int, default=None,
@@ -437,7 +439,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(func=_cmd_index)
 
-    for name, fn in (("chi", _cmd_chi), ("cohomology", _cmd_cohomology)):
+    for name in ("chi", "cohomology"):
         p = sub.add_parser(name, help=f"{name} of a tautological sheaf")
         _add_embedding_flags(p)
         p.add_argument("--functor", choices=("wedge", "sym", "dual"),
@@ -446,7 +448,7 @@ def build_parser() -> _Parser:
         p.add_argument("--ks", type=str, default="")
         p.add_argument("--side", choices=(G1, G2), default=G2)
         p.add_argument("--sides", type=str, default="")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_cohomology)
 
     p = sub.add_parser("verify", help="verify a stated claim on a grid")
     targets = p.add_subparsers(dest="target", required=True)

@@ -1,14 +1,27 @@
 """Littlewood-Richardson coefficients, Pieri products and Cauchy terms.
 
-Coefficients are computed by backtracking enumeration of semistandard skew
-fillings with the lattice word property.  Single coefficients are not
-cached: a triple rarely recurs outside the expansion that first asked for
-it.  The reuse sits one level up.  The tensor, direct-sum and doubled-bundle
-expansions are cached per input, because every sheaf resolved on an
-embedding meets the same partitions lam again; the two Pieri rules are
-cached per weight and degree, because every twist meets the same expanded
-weights again.  (weyl_dim in partitions and bwb_weight in bott are the
-other two caches; they pay for the same reason at the Kunneth step.)
+Littlewood-Richardson (LR) coefficients come from one walk that reaches
+only nonzero terms (Fulton, *Young Tableaux*, ch. 5; A. Buch's lrcalc
+generates the same fillings).  It fills a shape semistandardly, reading
+each row right to left from the top row down, with labels capped by a row
+bound, and keeps a start partition plus the content read so far a
+partition.  Counting the finished fillings by final shape gives:
+
+* the skew walk, lam/alpha from an empty start (a lattice reading word):
+  the content is beta, with c^lam_{alpha,beta} fillings.  It serves the
+  direct-sum step, and lr_coefficient reads one content off gamma/alpha;
+* the tensor walk, the shape beta from the start alpha: the final shape is
+  gamma, with c^gamma_{alpha,beta} fillings.
+
+Single coefficients are not cached: a triple rarely recurs outside the
+expansion that first asked for it.  The reuse sits one level up.  The
+tensor, direct-sum and doubled-bundle expansions are cached per input,
+because every sheaf resolved on an embedding meets the same partitions lam
+again; the Cauchy pairs per degree and box, because every sheaf on an
+embedding splits its terms over the same boxes; the two Pieri rules per
+weight and degree, because every twist meets the same expanded weights
+again.  (weyl_dim in partitions and bwb_weight in bott are the other two
+caches; they pay for the same reason at the Kunneth step.)
 
 The doubled-bundle expansion of S_lam(B* + B*), B of rank n, keeps only
 pieces with at most n rows, so n travels down as a row bound: the
@@ -41,82 +54,65 @@ from .partitions import (
 def lr_coefficient(alpha, beta, gamma) -> int:
     """The multiplicity c^gamma_{alpha,beta} of S_gamma in S_alpha . S_beta.
 
-    Counts fillings of the skew diagram gamma/alpha with content beta that
-    are semistandard (rows weakly increase, columns strictly increase) and
-    whose right-to-left, top-to-bottom reading word is a lattice word.
-    Returns 0 when the sizes do not match or gamma does not contain alpha.
+    Counts the LR fillings of gamma/alpha with content beta (see the module
+    docstring).  Returns 0 when the sizes do not match or gamma does not
+    contain alpha.
     """
     alpha = as_partition(alpha)
     beta = as_partition(beta)
     gamma = as_partition(gamma)
     if size(gamma) != size(alpha) + size(beta) or not contains(gamma, alpha):
         return 0
-    return _count_tableaux(alpha, beta, gamma)
+    return _fillings(gamma, alpha, (), len(beta)).get(beta, 0)
 
 
-def _count_tableaux(alpha, beta, gamma) -> int:
-    nlab = len(beta)
-    rows = len(gamma)
-    alpha_p = pad(alpha, rows)
-
-    # Cells of gamma/alpha in reading order: each row right to left, top row
-    # first.  Every cell below a skew cell in the same column is again a skew
-    # cell, so the strict-column prune below is exact.
-    cells = []
-    for r in range(rows):
-        for c in range(gamma[r] - 1, alpha_p[r] - 1, -1):
-            below = sum(1 for r2 in range(r + 1, rows) if gamma[r2] > c)
-            cells.append((r, c, below))
-    if not cells:
-        return 1
-    if nlab == 0:
-        return 0
-
-    remaining = list(beta)
-    counts = [0] * (nlab + 1)
-    vals = [[0] * gamma[0] for _ in range(rows)]
-
-    return _count_from(0, cells, vals, remaining, counts, nlab, alpha_p,
-                       gamma)
+def _fillings(outer, inner, start, nlab) -> dict:
+    """Count the semistandard fillings of outer/inner with labels at most
+    nlab whose content, added to start label by label in reading order,
+    stays a partition.  Returns {start + content: count}."""
+    inner_p = pad(inner, len(outer))
+    cols = transpose(outer)
+    # Cells in reading order, each with the number of cells below it in its
+    # column (all of them in outer/inner, as inner is a partition): a label
+    # v there needs v + below <= nlab.
+    cells = [(r, c, cols[c] - r - 1)
+             for r, part in enumerate(outer)
+             for c in range(part - 1, inner_p[r] - 1, -1)]
+    out: dict = {}
+    vals = [[0] * (outer[0] + 1) for _ in outer]
+    _walk(out, 0, cells, vals, list(pad(start, nlab)), nlab, inner_p)
+    return out
 
 
-def _count_from(idx, cells, vals, remaining, counts, nlab, alpha_p,
-                gamma) -> int:
-    """Count the ways to fill cells[idx:] given the partial filling vals,
-    the labels still to place (remaining) and those placed (counts).  A
-    module-level recursion, so no call leaves a reference cycle behind."""
+def _walk(out, idx, cells, vals, shape, nlab, inner_p):
+    # The recursive walks in this package are module-level functions that
+    # take their state as arguments, so no call leaves a reference cycle.
     if idx == len(cells):
-        return 1
+        key = tuple(x for x in shape if x)
+        out[key] = out.get(key, 0) + 1
+        return
     r, c, below = cells[idx]
-    hi = vals[r][c + 1] if c + 1 < gamma[r] else nlab
-    lo = vals[r - 1][c] + 1 if r > 0 and c >= alpha_p[r - 1] else 1
-    total = 0
-    for v in range(lo, min(hi, nlab - below) + 1):
-        if remaining[v - 1] == 0:
+    row = vals[r]
+    # Rows weakly increase, so a label is at most its right neighbour's
+    # (row[c + 1] is 0 past the end of the row); columns strictly increase.
+    hi = min(row[c + 1] or nlab, nlab - below)
+    lo = vals[r - 1][c] + 1 if r and c >= inner_p[r - 1] else 1
+    for v in range(lo, hi + 1):
+        if v > 1 and shape[v - 2] == shape[v - 1]:
             continue
-        if v > 1 and counts[v - 1] <= counts[v]:
-            continue
-        remaining[v - 1] -= 1
-        counts[v] += 1
-        vals[r][c] = v
-        total += _count_from(idx + 1, cells, vals, remaining, counts, nlab,
-                             alpha_p, gamma)
-        vals[r][c] = 0
-        counts[v] -= 1
-        remaining[v - 1] += 1
-    return total
+        shape[v - 1] += 1
+        row[c] = v
+        _walk(out, idx + 1, cells, vals, shape, nlab, inner_p)
+        shape[v - 1] -= 1
+    row[c] = 0
 
 
 @lru_cache(maxsize=None)
 def _lr_expand_cached(alpha, beta, rows) -> tuple:
-    total = size(alpha) + size(beta)
-    max_cols = (alpha[0] if alpha else 0) + (beta[0] if beta else 0)
-    out = []
-    for gamma in enumerate_in_box(rows, max_cols, total):
-        c = lr_coefficient(alpha, beta, gamma)
-        if c:
-            out.append((gamma, c))
-    return tuple(out)
+    if len(alpha) > rows:
+        return ()
+    return tuple(sorted(_fillings(beta, (), alpha, rows).items(),
+                        reverse=True))
 
 
 def lr_expand_tensor(alpha, beta) -> dict:
@@ -131,11 +127,9 @@ def _direct_sum_cached(lam, rows) -> tuple:
     # the subpartitions of lam's first `rows` rows.
     out = []
     for alpha in subpartitions(lam[:rows]):
-        rest = size(lam) - size(alpha)
-        for beta in enumerate_in_box(rows, lam[0] if lam else 0, rest):
-            c = lr_coefficient(alpha, beta, lam)
-            if c:
-                out.append((alpha, beta, c))
+        contents = _fillings(lam, alpha, (), rows)
+        for beta in sorted(contents, reverse=True):
+            out.append((alpha, beta, contents[beta]))
     return tuple(out)
 
 
@@ -190,14 +184,17 @@ def cauchy_wedge(ell: int, rank_left: int, rank_right: int) -> list:
     product of bundles of the given ranks.
 
     lam runs over partitions of size ell with at most rank_right rows and at
-    most rank_left columns.
+    most rank_left columns.  The list is the caller's own.
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    return [
-        (transpose(lam), lam)
-        for lam in enumerate_in_box(rank_right, rank_left, ell)
-    ]
+    return list(_cauchy_cached(ell, rank_left, rank_right))
+
+
+@lru_cache(maxsize=None)
+def _cauchy_cached(ell, rank_left, rank_right) -> tuple:
+    return tuple((transpose(lam), lam)
+                 for lam in enumerate_in_box(rank_right, rank_left, ell))
 
 
 @lru_cache(maxsize=None)

@@ -237,6 +237,30 @@ def test_readme_commands_run(capsys):
         json.loads(out)
 
 
+def test_one_parser_serves_every_call(capsys):
+    # run builds its parser once per process; calls in sequence, a rejected
+    # one among them, print what each prints on a newly built parser
+    embedding = ("--N", "2", "--n", "2", "--r", "0", "--m", "2")
+    calls = (
+        ("chi",) + embedding + ("--functor", "wedge", "--k", "1"),
+        ("chi",) + embedding + ("--functor", "wedge", "--kk", "1"),
+        ("cohomology",) + embedding + ("--functor", "wedge", "--k", "1"),
+    )
+
+    def outcome(argv):
+        code = cli.run(list(argv))
+        return code, capsys.readouterr()
+
+    assert cli.build_parser() is cli.build_parser()
+    in_sequence = [outcome(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert in_sequence == fresh
+    assert [code for code, _ in in_sequence] == [0, 2, 0]
+
+
 def test_byte_stable_output(capsys):
     _, first = run_cli(capsys, "cohomology", "--N", "2", "--n", "1", "--r",
                        "0", "--m", "1", "--functor", "sym", "--k", "1")

@@ -15,6 +15,7 @@ from quotcoh.partitions import (
     union,
     weyl_dim,
 )
+from quotcoh import schur
 from quotcoh.schur import (
     cauchy_wedge,
     direct_sum_expand,
@@ -25,7 +26,7 @@ from quotcoh.schur import (
     pieri_twist,
     pieri_wedge,
 )
-from oracles import schur_product
+from oracles import lr_oracle, schur_product
 
 
 def small_partitions(limit):
@@ -155,10 +156,63 @@ def test_double_bundle_row_cap_matches_uncapped():
         assert total == weyl_dim(pad(lam, 2 * r), 2 * r), lam
 
 
+def test_walks_match_oracle_under_row_cap():
+    # Direct-sum walk: every (lam, rows) with lam in a 6 x 4 box.  Since
+    # c^lam_{a,b} = c^{lam^T}_{a^T,b^T} and lam^T has at most 4 rows, the
+    # oracle's products of transposes in 4 variables give every coefficient.
+    table: dict = {}
+    pieces = all_in_box(3, 4)
+    for a in pieces:
+        for b in pieces:
+            for gt, c in schur_product(transpose(a), transpose(b), 4).items():
+                table.setdefault(transpose(gt), []).append((a, b, c))
+    for lam in all_in_box(6, 4):
+        for rows in range(4):
+            got = schur._direct_sum_cached(lam, rows)
+            want = sorted(((a, b, c) for a, b, c in table.get(lam, ())
+                           if len(a) <= rows and len(b) <= rows),
+                          reverse=True)
+            assert list(got) == want, (lam, rows)
+            assert all(c > 0 for _, _, c in got)
+    # Tensor walk: in `rows` variables the oracle keeps exactly the gamma
+    # of at most `rows` rows.
+    pieces = all_in_box(4, 3)
+    for a in pieces:
+        for b in pieces:
+            if size(a) + size(b) > 9:
+                continue
+            for rows in range(1, len(a) + len(b)):
+                got = schur._lr_expand_cached(a, b, rows)
+                want = sorted(schur_product(a, b, rows).items(), reverse=True)
+                assert list(got) == want, (a, b, rows)
+                assert all(c > 0 for _, c in got)
+    # lr_coefficient on every triple of a 3 x 4 box, zeros included.
+    pieces = all_in_box(3, 4)
+    for a in pieces:
+        for b in pieces:
+            product = schur_product(a, b, 3)
+            for g in pieces:
+                assert lr_coefficient(a, b, g) == product.get(g, 0), (a, b, g)
+    # and on gamma taller than either factor
+    for a, b, g in (((2, 1), (2, 1), (2, 1, 1, 1, 1)),
+                    ((2, 1), (1, 1), (2, 2, 1)),
+                    ((3, 1), (2, 1, 1), (3, 2, 1, 1)),
+                    ((1, 1), (1, 1), (1, 1, 1, 1))):
+        assert lr_coefficient(a, b, g) == lr_oracle(a, b, g, len(g)), (a, b, g)
+
+
 def test_cauchy_wedge_examples():
     assert cauchy_wedge(1, 3, 2) == [((1,), (1,))]
     assert cauchy_wedge(2, 3, 2) == [((1, 1), (2,)), ((2,), (1, 1))]
     assert cauchy_wedge(0, 3, 2) == [((), ())]
+
+
+def test_cauchy_wedge_returns_a_fresh_list():
+    # the pairs are cached per box; a caller's edits must not reach them
+    pairs = cauchy_wedge(2, 3, 2)
+    pairs[0] = None
+    pairs.append(((3,), (1, 1, 1)))
+    assert cauchy_wedge(2, 3, 2) == [((1, 1), (2,)), ((2,), (1, 1))]
 
 
 def test_cauchy_wedge_dimension_identity():
