@@ -54,6 +54,7 @@ from .quot import (
     check_conjecture,
     dual_wedge_product,
     embedding_data,
+    power_rank,
     quot_cohomology,
     resolution_terms,
     sym_power,
@@ -63,6 +64,6 @@ from .quot import (
     verify_theorem,
     wedge_power,
 )
-from .series import BivariateSeries, closed_form, compare, resolution_series
+from .series import closed_form, compare, resolution_series
 
 __version__ = "0.1.0"

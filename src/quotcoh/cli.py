@@ -395,8 +395,8 @@ def _cmd_series(args, fmt):
         "degL": args.degL,
         "n_max": args.nmax,
         "window": "k <= n",
-        "resolution": comparison.resolution.to_table(),
-        "closed_form": comparison.closed.to_table(),
+        "resolution": comparison.resolution,
+        "closed_form": comparison.closed,
         "mismatches": [list(m) for m in comparison.mismatches],
         "verified": comparison.equal,
     }, fmt)

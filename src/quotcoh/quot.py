@@ -75,7 +75,9 @@ class EmbeddingData:
         splitting = tuple(sorted((int(a) for a in self.splitting),
                                  reverse=True))
         object.__setattr__(self, "splitting", splitting)
-        if self.N < 1 or len(splitting) != self.N:
+        if self.N < 1:
+            raise ValueError(f"need N >= 1, got N={self.N}")
+        if len(splitting) != self.N:
             raise ValueError("splitting must list one degree per summand")
         if not 0 <= self.r <= self.N - 1:
             raise ValueError(f"need 0 <= r <= N-1, got r={self.r}")
@@ -119,6 +121,12 @@ class EmbeddingData:
 
     def quotient_rank(self, side: str) -> int:
         return self.q1 if side == G1 else self.q2
+
+    def section_dim(self, side: str) -> int:
+        """Dimension of the section space spanning the given side's
+        Grassmannian: h^0 of the bundle twisted by m - 1 (G1) or m (G2),
+        sum(splitting) + N (deg L + 1) for the line bundle L of that twist."""
+        return self.d1 if side == G1 else self.d2
 
     def twist_degree(self, side: str) -> int:
         """Degree of the line bundle realized by the tautological quotient
@@ -184,15 +192,19 @@ def dual_wedge_product(factors) -> TautologicalSheaf:
                              tuple(s for _, s in factors))
 
 
+def power_rank(functor: str, dim: int, k: int) -> int:
+    """Dimension of the k-th symmetric power (functor "sym") or exterior
+    power (any other functor) of a dim-dimensional space."""
+    if functor == "sym":
+        return binom(dim + k - 1, k) if k else 1
+    return binom(dim, k)
+
+
 def sheaf_rank(data: EmbeddingData, sheaf: TautologicalSheaf) -> int:
     """Rank of the twisting sheaf on the ambient product."""
     total = 1
     for k, side in zip(sheaf.ks, sheaf.sides):
-        q = data.quotient_rank(side)
-        if sheaf.functor == "sym":
-            total *= binom(q + k - 1, k) if k else 1
-        else:
-            total *= binom(q, k)
+        total *= power_rank(sheaf.functor, data.quotient_rank(side), k)
     return total
 
 
@@ -435,13 +447,8 @@ def verify_theorem(data: EmbeddingData, which: str, ks, sides=None) -> TheoremRe
             raise ValueError(f"need deg L >= n, got deg L = {deg_l}")
         if not 0 <= k <= data.n:
             raise ValueError(f"need 0 <= k <= n, got k={k}")
-        section_dim = data.d1 if side == G1 else data.d2
-        if which == "A":
-            sheaf = wedge_power(k, side)
-            expected = binom(section_dim, k)
-        else:
-            sheaf = sym_power(k, side)
-            expected = binom(section_dim + k - 1, k)
+        sheaf = (wedge_power if which == "A" else sym_power)(k, side)
+        expected = power_rank(sheaf.functor, data.section_dim(side), k)
         computed = quot_cohomology(data, sheaf)
         want = ((0, expected),) if expected else ()
         verified = computed.degenerate and computed.dims == want
@@ -547,13 +554,8 @@ def check_conjecture(data: EmbeddingData, which: str, ks, deg_ls) -> ConjectureR
         bound = data.n + data.r * (a + 1)
         if not 0 <= ks[0] <= bound:
             raise ValueError(f"k={ks[0]} exceeds the stated bound {bound}")
-        chi_sections = sum(data.splitting) + data.N * (deg_ls[0] + 1)
-        if which == "wedge":
-            sheaf = wedge_power(ks[0], sides[0])
-            predicted = binom(chi_sections, ks[0])
-        else:
-            sheaf = sym_power(ks[0], sides[0])
-            predicted = binom(chi_sections + ks[0] - 1, ks[0])
+        sheaf = TautologicalSheaf(which, ks, sides)
+        predicted = power_rank(which, data.section_dim(sides[0]), ks[0])
     elif which == "dual":
         if not 1 <= len(ks) <= data.N - data.r - 1:
             raise ValueError(

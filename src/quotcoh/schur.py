@@ -15,20 +15,22 @@ partition.  Counting the finished fillings by final shape gives:
 
 Single coefficients are not cached: a triple rarely recurs outside the
 expansion that first asked for it.  The reuse sits one level up.  The
-tensor, direct-sum and doubled-bundle expansions are cached per input,
-because every sheaf resolved on an embedding meets the same partitions lam
-again; the Cauchy pairs per degree and box, because every sheaf on an
-embedding splits its terms over the same boxes; the two Pieri rules per
-weight and degree, because every twist meets the same expanded weights
-again.  (weyl_dim in partitions and bwb_weight in bott are the other two
-caches; they pay for the same reason at the Kunneth step.)
+tensor and doubled-bundle expansions are cached per input, because every
+sheaf resolved on an embedding meets the same partitions lam again; the
+Cauchy pairs per degree and box, because every sheaf on an embedding
+splits its terms over the same boxes; the two Pieri rules per weight and
+degree, because every twist meets the same expanded weights again.  (weyl_dim
+in partitions and bwb_weight in bott are the other two caches; they pay
+for the same reason at the Kunneth step.)  The direct-sum step is not
+cached: its one hot caller is the doubled-bundle expansion, whose own
+cache already holds the reuse.
 
 The doubled-bundle expansion of S_lam(B* + B*), B of rank n, keeps only
 pieces with at most n rows, so n travels down as a row bound: the
 direct-sum step builds only alpha and beta, and the tensor step only
 gamma, of at most n rows.  The public direct_sum_expand and
 lr_expand_tensor pass their natural bounds, len(lam) and
-len(alpha) + len(beta), through the same two cached functions.
+len(alpha) + len(beta), through the same two functions.
 
 The Pieri rules act directly on dominant weights with possibly negative
 entries; this is legitimate because both rules commute with twisting every
@@ -121,8 +123,7 @@ def lr_expand_tensor(alpha, beta) -> dict:
     return dict(_lr_expand_cached(alpha, beta, len(alpha) + len(beta)))
 
 
-@lru_cache(maxsize=None)
-def _direct_sum_cached(lam, rows) -> tuple:
+def _direct_sum(lam, rows) -> list:
     # alpha is contained in lam, so the alpha of at most `rows` rows are
     # the subpartitions of lam's first `rows` rows.
     out = []
@@ -130,7 +131,7 @@ def _direct_sum_cached(lam, rows) -> tuple:
         contents = _fillings(lam, alpha, (), rows)
         for beta in sorted(contents, reverse=True):
             out.append((alpha, beta, contents[beta]))
-    return tuple(out)
+    return out
 
 
 def direct_sum_expand(lam) -> list:
@@ -140,7 +141,7 @@ def direct_sum_expand(lam) -> list:
     coefficient.
     """
     lam = as_partition(lam)
-    return list(_direct_sum_cached(lam, len(lam)))
+    return _direct_sum(lam, len(lam))
 
 
 def double_bundle_triples(lam, n: int):
@@ -152,8 +153,9 @@ def double_bundle_triples(lam, n: int):
     lam = as_partition(lam)
     # A nonzero alpha or beta has no more rows than lam, and a nonzero gamma
     # no more than alpha and beta together, so a larger n builds nothing
-    # more; capping it there also shares the public expansions' entries.
-    for alpha, beta, c1 in _direct_sum_cached(lam, min(n, len(lam))):
+    # more; capping it there also shares the public tensor expansion's
+    # cache entries.
+    for alpha, beta, c1 in _direct_sum(lam, min(n, len(lam))):
         rows = min(n, len(alpha) + len(beta))
         for gamma, c2 in _lr_expand_cached(alpha, beta, rows):
             yield alpha, beta, gamma, c1 * c2

@@ -206,9 +206,9 @@ def test_criterion_11_series_identities():
     dual = compare("dual", 2, 4, 3)
     assert dual.equal
     for n in range(4):
-        assert dual.resolution.coefficient(n, 0) == 1
+        assert dual.resolution[n][0] == 1
         for k in range(1, n + 1):
-            assert dual.resolution.coefficient(n, k) == 0
+            assert dual.resolution[n][k] == 0
     _report("criterion 11 (series identities)",
             f"three kinds at degL=4, n<=3 in {time.time() - start:.1f}s")
 

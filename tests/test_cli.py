@@ -167,6 +167,12 @@ def test_invalid_inputs_exit_2(capsys):
     code, doc = run_json(capsys, "series", "dual", "--N", "1", "--degL", "2",
                          "--nmax", "2")
     assert code == 2 and "N >= 2" in doc["error"]
+    code, doc = run_json(capsys, "series", "wedge", "--N", "2", "--degL", "2",
+                         "--nmax", "-1")
+    assert code == 2 and "n_max >= 0" in doc["error"]
+    code, doc = run_json(capsys, "chi", "--N", "0", "--n", "1", "--m", "1",
+                         "--functor", "wedge", "--k", "1")
+    assert code == 2 and "N >= 1" in doc["error"]
     code, out = run_cli(capsys, "nonsense")
     assert code == 2
 

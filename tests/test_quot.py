@@ -105,6 +105,13 @@ def test_rank_bookkeeping():
             term = resolution_terms(data, sheaf, ell)
             assert term.total_rank() == \
                 math.comb(data.rank_e, ell) * expected_unit, (sheaf, ell)
+    # n = 0: both quotients have rank 0, and sym^0 of them is the trivial
+    # line bundle, not the empty binomial C(-1, 0) = 0
+    data = embedding_data(2, None, 0, 0, 0)
+    assert (data.q1, data.q2, data.rank_e) == (0, 0, 0)
+    for sheaf in (sym_power(0), sym_power(0, G1), wedge_power(0)):
+        assert sheaf_rank(data, sheaf) == 1
+        assert resolution_terms(data, sheaf, 0).total_rank() == 1
 
 
 def _cross_check_sheaves(data):
@@ -182,6 +189,20 @@ def test_verify_theorem_a_b():
                     rep = verify_theorem(data, "B", (k,))
                     assert rep.verified
                     assert rep.expected_h0 == math.comb(N * (m + 1) + k - 1, k)
+
+
+def test_symmetric_degree_zero_without_sections():
+    # the twist m - 1 = 0 of O(-1) + O(-1) has no sections, yet sym^0 is
+    # the trivial bundle with one section, as Theorem B and the positive-
+    # rank conjecture both predict
+    data = embedding_data(2, (-1, -1), 0, 0, 1)
+    assert data.section_dim(G1) == 0
+    rep = verify_theorem(data, "B", (0,), (G1,))
+    assert rep.verified and rep.expected_h0 == 1
+    data = embedding_data(2, None, 0, 1, 0)
+    assert data.section_dim(G1) == 0
+    rep = check_conjecture(data, "sym", (0,), (-1,))
+    assert rep.verified and rep.predicted == rep.computed == 1
 
 
 def test_verify_theorem_parameter_errors():
