@@ -4,7 +4,11 @@ Every subcommand prints a single JSON document (or a flattened TSV) on
 stdout and reserves stderr for progress notes.  Integers are emitted as
 decimal strings so arbitrarily large values survive any JSON consumer, and
 key order is fixed for byte-stable output.  Exit codes: 0 on success or a
-verified claim, 1 when a claim check fails numerically, 2 on invalid input.
+verified claim, 1 when a claim check fails numerically, 2 on invalid input,
+3 on an internal fault: a consistency check inside the engine failed (an
+ArithmeticError or AssertionError), which no input should cause.  Exits 2
+and 3 print {"error": ...} on stdout, the message of exit 3 prefixed with
+"internal: ".
 """
 
 import argparse
@@ -516,9 +520,12 @@ def run(argv) -> int:
         return exc.code or 0
     try:
         return args.func(args, args.format)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         print(json.dumps({"error": str(exc)}))
         return 2
+    except (ArithmeticError, AssertionError) as exc:
+        print(json.dumps({"error": f"internal: {exc}"}))
+        return 3
 
 
 def main():

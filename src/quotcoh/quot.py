@@ -26,6 +26,25 @@ expands the G2 side of such a piece.  This is exact, not a bound: it skips
 only summands whose contribution is zero.  resolution_terms still lists
 every summand of a term, and term_cohomology of that list is the reference
 the factored profiles are tested against.
+
+Every sheaf resolved on one embedding meets the same Cauchy pieces, and
+its twist touches only the G1 side, the G2 side or both.  So the factor
+cohomology is memoized on the EmbeddingData itself, keyed by the twist of
+one side, (functor, ks) over that side's factors of positive degree (the
+identity twist when there are none):
+
+* per (G1 twist, ell): the term's live pieces, those whose G1 factor is
+  not acyclic, each as lam with its G1 {degree: dim} items;
+* per (G2 twist, lam): the G2 factor's {degree: dim} items.
+
+Only the Kunneth convolution of the two is done per sheaf.  The memo is
+exact: an entry depends on nothing but the embedding, the side's twist and
+ell or lam, which its scope and key fix, so it is the very integer table
+a sheaf would build for itself, whichever sheaf first asked for it.
+Degree-0 factors are trivial bundles and leave the key, so the structure
+sheaf shares its pieces with every sheaf twisted on the other side only.
+The memo lives on the embedding and is freed with it; it takes no part in
+the embedding's equality, hash or repr.
 """
 
 from dataclasses import dataclass, field
@@ -70,6 +89,9 @@ class EmbeddingData:
     q1: int = field(init=False)
     q2: int = field(init=False)
     rank_e: int = field(init=False)
+    # The memo of piece cohomology (see the module docstring).
+    _pieces: dict = field(init=False, default_factory=dict, compare=False,
+                          repr=False)
 
     def __post_init__(self):
         splitting = tuple(sorted((int(a) for a in self.splitting),
@@ -218,29 +240,37 @@ def _validate_sheaf(data: EmbeddingData, sheaf: TautologicalSheaf):
             raise ValueError("symmetric power of a rank-0 bundle")
 
 
-def _side_ks(sheaf: TautologicalSheaf, side: str) -> tuple:
-    """The degrees of the factors whose twist is realized on one side."""
-    return tuple(k for k, s in zip(sheaf.ks, sheaf.sides) if s == side)
+# The twist of a side with no factors: pieri_twist with no degrees leaves
+# every weight as it is, whatever the functor.
+_IDENTITY = ("wedge", ())
 
 
-def _g1_quotient_weights(data: EmbeddingData,
-                         sheaf: TautologicalSheaf) -> dict:
-    """The sheaf's twist on the first Grassmannian, as quotient weights.
+def _twist(sheaf: TautologicalSheaf, side: str) -> tuple:
+    """The sheaf's twist on one side, as (functor, ks): the degrees of the
+    factors whose twist is realized there.  A degree-0 factor is the trivial
+    bundle, whose Pieri twist leaves every weight as it is, so it is left
+    out, and a side left with no factors gets the identity twist."""
+    ks = tuple(k for k, s in zip(sheaf.ks, sheaf.sides) if s == side and k)
+    return (sheaf.functor, ks) if ks else _IDENTITY
+
+
+def _g1_quotient_weights(data: EmbeddingData, functor: str, ks: tuple) -> dict:
+    """The twist (functor, ks) on the first Grassmannian, as quotient
+    weights.
 
     On G1 the twist is the whole quotient weight, turned from dual
     coordinates to ordinary ones.
     """
-    g1_dual = pieri_twist({(): 1}, data.q1, sheaf.functor,
-                          _side_ks(sheaf, G1))
+    g1_dual = pieri_twist({(): 1}, data.q1, functor, ks)
     return {negate_reverse(w): m for w, m in g1_dual.items()}
 
 
-def _g2_quotient_weights(data: EmbeddingData, sheaf: TautologicalSheaf,
+def _g2_quotient_weights(data: EmbeddingData, functor: str, ks: tuple,
                          lam: tuple) -> dict:
     """The G2 quotient weights of the Cauchy piece lam: the doubled
-    expansion of S_lam(B2* + B2*) twisted by the sheaf's G2 factors."""
+    expansion of S_lam(B2* + B2*) twisted by (functor, ks)."""
     g2_dual = pieri_twist(double_bundle_expand(lam, data.q2), data.q2,
-                          sheaf.functor, _side_ks(sheaf, G2))
+                          functor, ks)
     return {negate_reverse(w): m for w, m in g2_dual.items()}
 
 
@@ -262,7 +292,8 @@ def resolution_terms(data: EmbeddingData, sheaf: TautologicalSheaf,
     _validate_sheaf(data, sheaf)
     ctx1, ctx2 = data.ctx1, data.ctx2
     sub_len = data.d1 - data.q1
-    g1_quots = _g1_quotient_weights(data, sheaf)
+    g1_quots = _g1_quotient_weights(data, *_twist(sheaf, G1))
+    twist2 = _twist(sheaf, G2)
     zeros2 = (0,) * (data.d2 - data.q2)
     acc: dict = {}
     for lam_t, lam in cauchy_wedge(ell, sub_len, 2 * data.q2):
@@ -271,7 +302,7 @@ def resolution_terms(data: EmbeddingData, sheaf: TautologicalSheaf,
             (HomogeneousBundle(ctx1, w, sub1), m)
             for w, m in g1_quots.items()
         ]
-        for w2, m2 in _g2_quotient_weights(data, sheaf, lam).items():
+        for w2, m2 in _g2_quotient_weights(data, *twist2, lam).items():
             b2 = HomogeneousBundle(ctx2, w2, zeros2)
             for b1, m1 in g1_bundles:
                 key = (b1, b2)
@@ -335,32 +366,63 @@ def _factor_dims(d: int, quots: dict, sub: tuple) -> dict:
     return dims
 
 
+def _g1_live_pieces(data: EmbeddingData, functor: str, ks: tuple,
+                    ell: int) -> tuple:
+    """The Cauchy pieces of term ell whose G1 factor, S_{lam^T}(A1) twisted
+    by (functor, ks), is not acyclic, as (lam, G1 {degree: dim} items).
+    Memoized on the embedding."""
+    key = (G1, functor, ks, ell)
+    live = data._pieces.get(key)
+    if live is None:
+        sub_len = data.d1 - data.q1
+        quots = {check_weight(w, data.q1, "quotient"): m
+                 for w, m in _g1_quotient_weights(data, functor, ks).items()}
+        live = []
+        for lam_t, lam in cauchy_wedge(ell, sub_len, 2 * data.q2):
+            sub1 = check_weight(pad(lam_t, sub_len), sub_len, "sub")
+            dims1 = _factor_dims(data.d1, quots, sub1)
+            if dims1:
+                live.append((lam, tuple(dims1.items())))
+        live = data._pieces[key] = tuple(live)
+    return live
+
+
+def _g2_piece(data: EmbeddingData, functor: str, ks: tuple,
+              lam: tuple) -> tuple:
+    """The G2 factor of the Cauchy piece lam twisted by (functor, ks), as
+    {degree: dim} items.  Memoized on the embedding."""
+    key = (G2, functor, ks, lam)
+    dims2 = data._pieces.get(key)
+    if dims2 is None:
+        zeros2 = check_weight((0,) * (data.d2 - data.q2), data.d2 - data.q2,
+                              "sub")
+        quots = {check_weight(w, data.q2, "quotient"): m
+                 for w, m in _g2_quotient_weights(data, functor, ks,
+                                                  lam).items()}
+        dims2 = data._pieces[key] = tuple(
+            _factor_dims(data.d2, quots, zeros2).items())
+    return dims2
+
+
 def term_profiles(data: EmbeddingData, sheaf: TautologicalSheaf):
     """Yield (ell, CohomologyProfile) for every term of the resolution.
 
     Each profile equals term_cohomology(resolution_terms(data, sheaf, ell)),
-    computed by factored Kunneth (see the module docstring): a Cauchy
-    piece whose G1 factor is acyclic is skipped before its G2 side is
-    expanded.  The sheaf and its G1 twist are checked and built once.
+    computed by factored Kunneth (see the module docstring).  The factor
+    cohomology of the Cauchy pieces is read from the embedding's memo,
+    filled on first use: the live pieces with their G1 factors per (G1
+    twist, ell), the G2 factor per (G2 twist, lam).  Only their
+    convolution is done per sheaf; weights are validated once per memo
+    entry, when it is built.
     """
     _validate_sheaf(data, sheaf)
-    d1, d2 = data.d1, data.d2
-    sub_len = d1 - data.q1
-    g1_quots = {check_weight(w, data.q1, "quotient"): m
-                for w, m in _g1_quotient_weights(data, sheaf).items()}
-    zeros2 = check_weight((0,) * (d2 - data.q2), d2 - data.q2, "sub")
+    twist1, twist2 = _twist(sheaf, G1), _twist(sheaf, G2)
     for ell in range(data.rank_e + 1):
         dims: dict = {}
-        for lam_t, lam in cauchy_wedge(ell, sub_len, 2 * data.q2):
-            sub1 = check_weight(pad(lam_t, sub_len), sub_len, "sub")
-            dims1 = _factor_dims(d1, g1_quots, sub1)
-            if not dims1:
-                continue
-            g2_quots = _g2_quotient_weights(data, sheaf, lam)
-            dims2 = _factor_dims(d2, {check_weight(w, data.q2, "quotient"): m
-                                      for w, m in g2_quots.items()}, zeros2)
-            for i1, n1 in dims1.items():
-                for i2, n2 in dims2.items():
+        for lam, dims1 in _g1_live_pieces(data, *twist1, ell):
+            dims2 = _g2_piece(data, *twist2, lam)
+            for i1, n1 in dims1:
+                for i2, n2 in dims2:
                     dims[i1 + i2] = dims.get(i1 + i2, 0) + n1 * n2
         yield ell, CohomologyProfile(tuple(sorted(dims.items())))
 

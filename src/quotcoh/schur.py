@@ -16,14 +16,17 @@ partition.  Counting the finished fillings by final shape gives:
 Single coefficients are not cached: a triple rarely recurs outside the
 expansion that first asked for it.  The reuse sits one level up.  The
 tensor and doubled-bundle expansions are cached per input, because every
-sheaf resolved on an embedding meets the same partitions lam again; the
-Cauchy pairs per degree and box, because every sheaf on an embedding
-splits its terms over the same boxes; the two Pieri rules per weight and
-degree, because every twist meets the same expanded weights again.  (weyl_dim
-in partitions and bwb_weight in bott are the other two caches; they pay
-for the same reason at the Kunneth step.)  The direct-sum step is not
-cached: its one hot caller is the doubled-bundle expansion, whose own
-cache already holds the reuse.
+G2 twist of a Cauchy piece lam, and every embedding of the same rank,
+expands the same lam again; the Cauchy pairs per degree and box, because
+every G1 twist on an embedding splits its terms over the same boxes; the
+two Pieri rules per weight and degree, because the expansions of different
+lam share their weights.  (weyl_dim in partitions and bwb_weight in bott
+are the other two caches; they pay for the same reason at the
+Borel-Weil-Bott step.)  These caches are global and unbounded.  The reuse
+among the sheaves resolved on one embedding sits higher still, in the
+memo of piece cohomology that quot keeps on each embedding and frees with
+it.  The direct-sum step is not cached: its one hot caller is the
+doubled-bundle expansion, whose own cache already holds the reuse.
 
 The doubled-bundle expansion of S_lam(B* + B*), B of rank n, keeps only
 pieces with at most n rows, so n travels down as a row bound: the

@@ -154,6 +154,27 @@ def test_failed_claim_exits_1(capsys, monkeypatch):
     assert code == 1 and doc["verified"] is False
 
 
+def test_internal_faults_exit_3(capsys, monkeypatch):
+    # a failed consistency check inside the engine is not an input error
+    def weyl_fault(data, sheaf):
+        raise ArithmeticError("Weyl formula gave a non-integer for (1, 0)")
+
+    def codim_fault(*args):
+        raise AssertionError("codimension check failed")
+
+    argv = ("cohomology", "--N", "2", "--n", "1", "--m", "1", "--functor",
+            "wedge", "--k", "1")
+    monkeypatch.setattr(cli, "quot_cohomology", weyl_fault)
+    code, doc = run_json(capsys, *argv)
+    assert code == 3
+    assert doc == {"error": "internal: Weyl formula gave a non-integer for "
+                            "(1, 0)"}
+    monkeypatch.setattr(cli, "embedding_data", codim_fault)
+    code, doc = run_json(capsys, *argv)
+    assert code == 3
+    assert doc == {"error": "internal: codimension check failed"}
+
+
 def test_invalid_inputs_exit_2(capsys):
     code, doc = run_json(capsys, "lr", "--alpha", "1,2", "--beta", "1",
                          "--gamma", "2,1")
@@ -233,14 +254,28 @@ def _readme_commands():
             for line in block.splitlines() if line.startswith("quotcoh ")]
 
 
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden_cli")
+
+
+def _golden_name(argv) -> str:
+    return "_".join(argv) + ".out"
+
+
 def test_readme_commands_run(capsys):
+    # Each command's stdout must match tests/golden_cli/ byte for byte;
+    # `python tests/test_cli.py` rewrites that directory from the current
+    # tree.
     commands = _readme_commands()
     assert len(commands) == 19
+    assert sorted(os.listdir(GOLDEN_DIR)) == \
+        sorted(_golden_name(argv) for argv in commands)
     for argv in commands:
         # --jobs 1 keeps the grid targets from forking a pool
         code, out = run_cli(capsys, "--jobs", "1", *argv)
         assert code == 0, argv
         json.loads(out)
+        with open(os.path.join(GOLDEN_DIR, _golden_name(argv)), "rb") as fh:
+            assert out.encode() == fh.read(), argv
 
 
 def test_one_parser_serves_every_call(capsys):
@@ -326,3 +361,18 @@ def test_grid_workers_capped_by_cores_and_cases(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     assert cli._run_cases(abs, [-1, -2, -3], 5000) == [1, 2, 3]
     assert sizes == [2]
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    for name in os.listdir(GOLDEN_DIR):
+        os.remove(os.path.join(GOLDEN_DIR, name))
+    for argv in _readme_commands():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            cli.run(["--jobs", "1", *argv])
+        with open(os.path.join(GOLDEN_DIR, _golden_name(argv)), "wb") as fh:
+            fh.write(buf.getvalue().encode())

@@ -1,5 +1,6 @@
 import gc
 import math
+import weakref
 
 import pytest
 
@@ -147,6 +148,38 @@ def test_factored_profiles_match_explicit_summands():
                             assert profile == want, (data, sheaf, ell)
                             live += not profile.is_zero
     assert live >= 700  # the comparison is not between empty profiles
+
+
+def test_piece_memo_dies_with_its_embedding():
+    data = embedding_data(2, None, 2, 0, 2)
+    quot_cohomology(data, dual_wedge_product(((1, G1), (1, G2))))
+    assert data._pieces
+    ref = weakref.ref(data)
+    del data
+    gc.collect()
+    assert ref() is None  # no module-level registry holds it
+
+
+def test_piece_memo_is_order_independent():
+    # Every sheaf resolved on one shared embedding, in either order, gets
+    # the profile a cold embedding gives it: no two twists share a key.
+    for args in ((2, None, 2, 0, 2), (3, None, 2, 1, 2)):
+        sheaves = _cross_check_sheaves(embedding_data(*args))
+        cold = [quot_cohomology(embedding_data(*args), s) for s in sheaves]
+        for order in (sheaves, sheaves[::-1]):
+            shared = embedding_data(*args)
+            warm = {s: quot_cohomology(shared, s) for s in order}
+            assert [warm[s] for s in sheaves] == cold, args
+
+
+def test_warm_embedding_equals_cold():
+    warm = embedding_data(2, (1, 0), 2, 0, 2)
+    cold = embedding_data(2, (1, 0), 2, 0, 2)
+    quot_cohomology(warm, sym_power(2, G1))
+    assert warm._pieces and not cold._pieces
+    assert warm == cold
+    assert hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
 
 
 def test_quot_cohomology_examples():
