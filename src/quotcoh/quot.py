@@ -33,14 +33,16 @@ cohomology is memoized on the EmbeddingData itself, keyed by the twist of
 one side, (functor, ks) over that side's factors of positive degree (the
 identity twist when there are none):
 
+* per G1 twist: its quotient weights, checked once;
 * per (G1 twist, ell): the term's live pieces, those whose G1 factor is
   not acyclic, each as lam with its G1 {degree: dim} items;
 * per (G2 twist, lam): the G2 factor's {degree: dim} items.
 
 Only the Kunneth convolution of the two is done per sheaf.  The memo is
-exact: an entry depends on nothing but the embedding, the side's twist and
-ell or lam, which its scope and key fix, so it is the very integer table
-a sheaf would build for itself, whichever sheaf first asked for it.
+exact: an entry depends on nothing but the embedding, the side's twist
+and ell or lam, if any, which its scope and key fix, so it is the very
+integer table a sheaf would build for itself, whichever sheaf first asked
+for it.
 Degree-0 factors are trivial bundles and leave the key, so the structure
 sheaf shares its pieces with every sheaf twisted on the other side only.
 The memo lives on the embedding and is freed with it; it takes no part in
@@ -254,15 +256,22 @@ def _twist(sheaf: TautologicalSheaf, side: str) -> tuple:
     return (sheaf.functor, ks) if ks else _IDENTITY
 
 
-def _g1_quotient_weights(data: EmbeddingData, functor: str, ks: tuple) -> dict:
-    """The twist (functor, ks) on the first Grassmannian, as quotient
-    weights.
+def _g1_quotient_weights(data: EmbeddingData, functor: str,
+                         ks: tuple) -> tuple:
+    """The twist (functor, ks) on the first Grassmannian, as checked
+    (quotient weight, multiplicity) pairs.  Memoized on the embedding.
 
     On G1 the twist is the whole quotient weight, turned from dual
     coordinates to ordinary ones.
     """
-    g1_dual = pieri_twist({(): 1}, data.q1, functor, ks)
-    return {negate_reverse(w): m for w, m in g1_dual.items()}
+    key = (G1, functor, ks)
+    quots = data._pieces.get(key)
+    if quots is None:
+        g1_dual = pieri_twist({(): 1}, data.q1, functor, ks)
+        quots = data._pieces[key] = tuple(
+            (check_weight(negate_reverse(w), data.q1, "quotient"), m)
+            for w, m in g1_dual.items())
+    return quots
 
 
 def _g2_quotient_weights(data: EmbeddingData, functor: str, ks: tuple,
@@ -299,8 +308,7 @@ def resolution_terms(data: EmbeddingData, sheaf: TautologicalSheaf,
     for lam_t, lam in cauchy_wedge(ell, sub_len, 2 * data.q2):
         sub1 = pad(lam_t, sub_len)
         g1_bundles = [
-            (HomogeneousBundle(ctx1, w, sub1), m)
-            for w, m in g1_quots.items()
+            (HomogeneousBundle(ctx1, w, sub1), m) for w, m in g1_quots
         ]
         for w2, m2 in _g2_quotient_weights(data, *twist2, lam).items():
             b2 = HomogeneousBundle(ctx2, w2, zeros2)
@@ -354,11 +362,11 @@ def term_cohomology(term: ResolutionTerm) -> CohomologyProfile:
     return CohomologyProfile(tuple(sorted(dims.items())))
 
 
-def _factor_dims(d: int, quots: dict, sub: tuple) -> dict:
+def _factor_dims(d: int, quots, sub: tuple) -> dict:
     """{degree: dimension} of the sum of mult * S_w(B) . S_sub(A) over the
-    {w: mult} in quots, on a Grassmannian of d-dimensional space."""
+    (w, mult) pairs in quots, on a Grassmannian of d-dimensional space."""
     dims: dict = {}
-    for w, mult in quots.items():
+    for w, mult in quots:
         res = bwb_weight(d, w + sub)
         if res is not None:
             degree, gl = res
@@ -375,8 +383,7 @@ def _g1_live_pieces(data: EmbeddingData, functor: str, ks: tuple,
     live = data._pieces.get(key)
     if live is None:
         sub_len = data.d1 - data.q1
-        quots = {check_weight(w, data.q1, "quotient"): m
-                 for w, m in _g1_quotient_weights(data, functor, ks).items()}
+        quots = _g1_quotient_weights(data, functor, ks)
         live = []
         for lam_t, lam in cauchy_wedge(ell, sub_len, 2 * data.q2):
             sub1 = check_weight(pad(lam_t, sub_len), sub_len, "sub")
@@ -400,7 +407,7 @@ def _g2_piece(data: EmbeddingData, functor: str, ks: tuple,
                  for w, m in _g2_quotient_weights(data, functor, ks,
                                                   lam).items()}
         dims2 = data._pieces[key] = tuple(
-            _factor_dims(data.d2, quots, zeros2).items())
+            _factor_dims(data.d2, quots.items(), zeros2).items())
     return dims2
 
 

@@ -2,16 +2,25 @@
 
 Littlewood-Richardson (LR) coefficients come from one walk that reaches
 only nonzero terms (Fulton, *Young Tableaux*, ch. 5; A. Buch's lrcalc
-generates the same fillings).  It fills a shape semistandardly, reading
-each row right to left from the top row down, with labels capped by a row
-bound, and keeps a start partition plus the content read so far a
-partition.  Counting the finished fillings by final shape gives:
+generates the same fillings).  It fills a skew shape outer/inner
+semistandardly, reading each row right to left from the top row down,
+with labels capped by a row bound, and keeps a start partition plus the
+content read so far a partition.  The inner shape is chosen row by row as
+the walk goes: row r may end at any column inner_r from low_r to
+min(high_r, inner_{r-1}), so the inner shapes that agree on a row's right
+part share its fillings.  A finished filling is counted under (inner,
+start + content), which gives:
 
-* the skew walk, lam/alpha from an empty start (a lattice reading word):
-  the content is beta, with c^lam_{alpha,beta} fillings.  It serves the
-  direct-sum step, and lr_coefficient reads one content off gamma/alpha;
-* the tensor walk, the shape beta from the start alpha: the final shape is
-  gamma, with c^gamma_{alpha,beta} fillings.
+* the direct-sum step, lam/alpha from an empty start (a lattice reading
+  word) over every alpha in one walk per lam: the content is beta, with
+  c^lam_{alpha,beta} fillings;
+* the tensor step, the shape beta from the start alpha (inner fixed
+  empty): the final shape is gamma, with c^gamma_{alpha,beta} fillings.
+  Since c^gamma_{alpha,beta} = c^gamma_{beta,alpha}, each unordered pair
+  is walked once, filling the smaller shape from the larger start;
+* lr_coefficient, gamma/alpha with inner fixed at alpha and labels at
+  most len(beta), read at content beta.  It drops a path at the end of a
+  row once the content exceeds beta anywhere.
 
 Single coefficients are not cached: a triple rarely recurs outside the
 expansion that first asked for it.  The reuse sits one level up.  The
@@ -33,7 +42,10 @@ pieces with at most n rows, so n travels down as a row bound: the
 direct-sum step builds only alpha and beta, and the tensor step only
 gamma, of at most n rows.  The public direct_sum_expand and
 lr_expand_tensor pass their natural bounds, len(lam) and
-len(alpha) + len(beta), through the same two functions.
+len(alpha) + len(beta), through the same two functions.  Each doubled
+expansion checks its dimensions when it is built: S_lam(C^2n) splits into
+its rank-n pieces, so their dimensions must add up to dim_2n(lam); a
+mismatch raises ArithmeticError.
 
 The Pieri rules act directly on dominant weights with possibly negative
 entries; this is legitimate because both rules commute with twisting every
@@ -43,6 +55,7 @@ negative entries nonnegative.
 
 from functools import lru_cache
 from itertools import combinations
+from operator import le
 
 from .partitions import (
     as_partition,
@@ -51,8 +64,8 @@ from .partitions import (
     enumerate_in_box,
     pad,
     size,
-    subpartitions,
     transpose,
+    weyl_dim,
 )
 
 
@@ -68,73 +81,101 @@ def lr_coefficient(alpha, beta, gamma) -> int:
     gamma = as_partition(gamma)
     if size(gamma) != size(alpha) + size(beta) or not contains(gamma, alpha):
         return 0
-    return _fillings(gamma, alpha, (), len(beta)).get(beta, 0)
+    fillings = _fillings(gamma, alpha, alpha, (), len(beta), beta)
+    return fillings.get((alpha, beta), 0)
 
 
-def _fillings(outer, inner, start, nlab) -> dict:
+def _fillings(outer, low, high, start, nlab, bound=None) -> dict:
     """Count the semistandard fillings of outer/inner with labels at most
     nlab whose content, added to start label by label in reading order,
-    stays a partition.  Returns {start + content: count}."""
-    inner_p = pad(inner, len(outer))
-    cols = transpose(outer)
-    # Cells in reading order, each with the number of cells below it in its
-    # column (all of them in outer/inner, as inner is a partition): a label
-    # v there needs v + below <= nlab.
-    cells = [(r, c, cols[c] - r - 1)
-             for r, part in enumerate(outer)
-             for c in range(part - 1, inner_p[r] - 1, -1)]
+    stays a partition, over the partitions inner with low <= inner <= high
+    row by row.  With a bound, a filling is dropped once start + content
+    exceeds it where a row may end.  Returns {(inner, start + content):
+    count}."""
+    rows = len(outer)
     out: dict = {}
+    if not rows:
+        out[(), tuple(start)] = 1
+        return out
     vals = [[0] * (outer[0] + 1) for _ in outer]
-    _walk(out, 0, cells, vals, list(pad(start, nlab)), nlab, inner_p)
+    _walk(out, 0, outer[0], (), list(pad(start, nlab)), vals, [0] * rows,
+          outer, pad(low, rows), pad(high, rows), transpose(outer), nlab,
+          None if bound is None else pad(bound, nlab))
     return out
 
 
-def _walk(out, idx, cells, vals, shape, nlab, inner_p):
+def _walk(out, r, c, ikey, shape, vals, inner, outer, low, high, cols, nlab,
+          bound):
     # The recursive walks in this package are module-level functions that
     # take their state as arguments, so no call leaves a reference cycle.
-    if idx == len(cells):
-        key = tuple(x for x in shape if x)
-        out[key] = out.get(key, 0) + 1
+    # Row r holds its labels from column c rightward; ikey is the inner
+    # shape chosen above it.  Row r may end here, with inner_r = c, if that
+    # keeps inner between low and high and a partition.  The content only
+    # grows, so a path past the bound there is dropped.
+    if c <= high[r] and (not r or c <= inner[r - 1]):
+        if bound is not None and not all(map(le, shape, bound)):
+            return
+        inner[r] = c
+        key = ikey + (c,) if c else ikey
+        if r + 1 < len(outer):
+            _walk(out, r + 1, outer[r + 1], key, shape, vals, inner, outer,
+                  low, high, cols, nlab, bound)
+        else:
+            key = key, tuple(x for x in shape if x)
+            out[key] = out.get(key, 0) + 1
+    if c <= low[r]:
         return
-    r, c, below = cells[idx]
+    c -= 1
     row = vals[r]
     # Rows weakly increase, so a label is at most its right neighbour's
-    # (row[c + 1] is 0 past the end of the row); columns strictly increase.
-    hi = min(row[c + 1] or nlab, nlab - below)
-    lo = vals[r - 1][c] + 1 if r and c >= inner_p[r - 1] else 1
+    # (row[c + 1] is 0 past the end of the row); columns strictly increase,
+    # and a label v needs room for the cols[c] - r - 1 cells below it.
+    hi = min(row[c + 1] or nlab, nlab - cols[c] + r + 1)
+    lo = vals[r - 1][c] + 1 if r and c >= inner[r - 1] else 1
     for v in range(lo, hi + 1):
         if v > 1 and shape[v - 2] == shape[v - 1]:
             continue
         shape[v - 1] += 1
         row[c] = v
-        _walk(out, idx + 1, cells, vals, shape, nlab, inner_p)
+        _walk(out, r, c, ikey, shape, vals, inner, outer, low, high, cols,
+              nlab, bound)
         shape[v - 1] -= 1
     row[c] = 0
 
 
 @lru_cache(maxsize=None)
 def _lr_expand_cached(alpha, beta, rows) -> tuple:
+    # Keyed on the pair ordered by (size, shape): the walk fills the
+    # smaller shape beta from the larger start alpha.
     if len(alpha) > rows:
         return ()
-    return tuple(sorted(_fillings(beta, (), alpha, rows).items(),
+    return tuple(sorted(((gamma, c) for (_, gamma), c
+                         in _fillings(beta, (), (), alpha, rows).items()),
                         reverse=True))
+
+
+def _ordered(alpha, beta) -> tuple:
+    # c^gamma_{alpha,beta} = c^gamma_{beta,alpha}: one entry per unordered
+    # pair, the larger shape first.
+    if (size(alpha), alpha) < (size(beta), beta):
+        return beta, alpha
+    return alpha, beta
 
 
 def lr_expand_tensor(alpha, beta) -> dict:
     """All gamma with c^gamma_{alpha,beta} != 0, as {gamma: coefficient}."""
     alpha, beta = as_partition(alpha), as_partition(beta)
-    return dict(_lr_expand_cached(alpha, beta, len(alpha) + len(beta)))
+    return dict(_lr_expand_cached(*_ordered(alpha, beta),
+                                  len(alpha) + len(beta)))
 
 
 def _direct_sum(lam, rows) -> list:
-    # alpha is contained in lam, so the alpha of at most `rows` rows are
-    # the subpartitions of lam's first `rows` rows.
-    out = []
-    for alpha in subpartitions(lam[:rows]):
-        contents = _fillings(lam, alpha, (), rows)
-        for beta in sorted(contents, reverse=True):
-            out.append((alpha, beta, contents[beta]))
-    return out
+    # One walk over every alpha of at most `rows` rows: a column of
+    # lam/alpha holds distinct labels at most `rows`, so alpha_r >=
+    # lam_{r + rows}.
+    fillings = _fillings(lam, lam[rows:], lam[:rows], (), rows)
+    return [(alpha, beta, c)
+            for (alpha, beta), c in sorted(fillings.items(), reverse=True)]
 
 
 def direct_sum_expand(lam) -> list:
@@ -160,7 +201,7 @@ def double_bundle_triples(lam, n: int):
     # cache entries.
     for alpha, beta, c1 in _direct_sum(lam, min(n, len(lam))):
         rows = min(n, len(alpha) + len(beta))
-        for gamma, c2 in _lr_expand_cached(alpha, beta, rows):
+        for gamma, c2 in _lr_expand_cached(*_ordered(alpha, beta), rows):
             yield alpha, beta, gamma, c1 * c2
 
 
@@ -171,6 +212,12 @@ def _double_bundle_cached(lam, n) -> tuple:
     acc: dict = {}
     for _, _, gamma, c in double_bundle_triples(lam, n):
         acc[gamma] = acc.get(gamma, 0) + c
+    # S_lam(C^2n) splits into the rank-n pieces, dimensions included.
+    want = weyl_dim(pad(lam, 2 * n), 2 * n)
+    total = sum(c * weyl_dim(pad(gamma, n), n) for gamma, c in acc.items())
+    if total != want:
+        raise ArithmeticError(f"doubled expansion of {lam} over rank {n} "
+                              f"has dimension {total}, not {want}")
     return tuple(sorted(acc.items(), reverse=True))
 
 

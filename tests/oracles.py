@@ -2,8 +2,10 @@
 
 The Littlewood-Richardson oracle multiplies Schur polynomials in enough
 variables and decomposes the product in the Schur basis by repeatedly
-stripping the lexicographically leading monomial.  It never touches the
-library's tableau enumeration, so agreement between the two is meaningful.
+stripping the lexicographically leading monomial.  The doubled-bundle
+oracle folds the Schur polynomial of lam in 2n variables onto n and
+decomposes it the same way.  Neither touches the library's tableau
+enumeration, so agreement between the two is meaningful.
 """
 
 from functools import lru_cache
@@ -83,6 +85,16 @@ def schur_product(alpha: tuple, beta: tuple, nvars: int) -> dict:
     p = dict(schur_monomials(alpha, nvars))
     q = dict(schur_monomials(beta, nvars))
     return schur_decompose(poly_mul(p, q), nvars)
+
+
+def doubled_schur(lam: tuple, n: int) -> dict:
+    """S_lam(V + V), V of dimension n, in the Schur basis of V: the Schur
+    polynomial of lam in 2n variables with x_{i+n} folded onto x_i."""
+    folded: dict = {}
+    for exp, c in schur_monomials(lam, 2 * n):
+        key = tuple(a + b for a, b in zip(exp[:n], exp[n:]))
+        folded[key] = folded.get(key, 0) + c
+    return schur_decompose(folded, n)
 
 
 def lr_oracle(alpha: tuple, beta: tuple, gamma: tuple, nvars: int) -> int:

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from quotcoh import schur
+from quotcoh import quot, schur
 from quotcoh.partitions import enumerate_in_box, subpartitions
 from quotcoh.quot import (
     G1,
@@ -170,6 +170,28 @@ def test_piece_memo_is_order_independent():
             shared = embedding_data(*args)
             warm = {s: quot_cohomology(shared, s) for s in order}
             assert [warm[s] for s in sheaves] == cold, args
+
+
+def test_g1_weights_built_once_per_twist(monkeypatch):
+    # every term of a G1-twisted sheaf reads the same quotient weights
+    built = []
+    real = quot.pieri_twist
+
+    def record(weights, n, functor, ks):
+        if weights == {(): 1}:
+            built.append((functor, ks))
+        return real(weights, n, functor, ks)
+
+    monkeypatch.setattr(quot, "pieri_twist", record)
+    data = embedding_data(2, None, 2, 0, 2)
+    for sheaf in (sym_power(2, G1), sym_power(2, G1), wedge_power(1, G1)):
+        quot_cohomology(data, sheaf)
+    for ell in (0, 1):
+        resolution_terms(data, sym_power(2, G1), ell)
+    # (the G2 factor of the piece lam = () starts from {(): 1} too, under
+    # the identity twist)
+    assert data.rank_e > 1
+    assert sorted(t for t in built if t[1]) == [("sym", (2,)), ("wedge", (1,))]
 
 
 def test_warm_embedding_equals_cold():

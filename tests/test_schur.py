@@ -15,7 +15,7 @@ from quotcoh.partitions import (
     union,
     weyl_dim,
 )
-from quotcoh import schur
+from quotcoh import cli, schur
 from quotcoh.schur import (
     cauchy_wedge,
     direct_sum_expand,
@@ -26,7 +26,7 @@ from quotcoh.schur import (
     pieri_twist,
     pieri_wedge,
 )
-from oracles import lr_oracle, schur_product
+from oracles import doubled_schur, lr_oracle, schur_product
 
 
 def small_partitions(limit):
@@ -154,6 +154,69 @@ def test_double_bundle_row_cap_matches_uncapped():
         total = sum(c * weyl_dim(pad(a, r), r) * weyl_dim(pad(b, r), r)
                     for a, b, c in direct_sum_expand(lam))
         assert total == weyl_dim(pad(lam, 2 * r), 2 * r), lam
+
+
+def test_double_bundle_matches_folded_oracle():
+    # independent of the LR walk: fold the Schur polynomial of lam in 2n
+    # variables onto n and decompose it
+    for n in (1, 2, 3):
+        for lam in all_in_box(2 * n, 3):
+            assert double_bundle_expand(lam, n) == doubled_schur(lam, n), \
+                (lam, n)
+
+
+def _clear_expansion_caches(lr_expand):
+    lr_expand.cache_clear()
+    schur._double_bundle_cached.cache_clear()
+
+
+def test_tensor_cache_holds_one_entry_per_unordered_pair(monkeypatch):
+    # c^gamma_{alpha,beta} = c^gamma_{beta,alpha}, so a cold doubled
+    # expansion stores each pair once, the larger shape by (size, shape)
+    # first
+    real = schur._lr_expand_cached
+    keys = []
+
+    def record(alpha, beta, rows):
+        keys.append((alpha, beta, rows))
+        return real(alpha, beta, rows)
+
+    _clear_expansion_caches(real)
+    monkeypatch.setattr(schur, "_lr_expand_cached", record)
+    try:
+        for n in (1, 2, 3):
+            for lam in all_in_box(2 * n, 3):
+                double_bundle_expand(lam, n)
+        assert lr_expand_tensor((1,), (2, 1)) == lr_expand_tensor((2, 1), (1,))
+        assert all((size(a), a) >= (size(b), b) for a, b, _ in keys)
+        assert real.cache_info().currsize == len(set(keys)) > 100
+    finally:
+        _clear_expansion_caches(real)
+
+
+def test_doubled_identity_catches_a_wrong_coefficient(monkeypatch, capsys):
+    # one wrong tensor coefficient, c^(2)_{(1),(1)} = 2, breaks the
+    # dimension identity of every doubled expansion that reads it
+    real = schur._lr_expand_cached
+
+    def corrupt(alpha, beta, rows):
+        out = real(alpha, beta, rows)
+        if (alpha, beta) == ((1,), (1,)):
+            out = tuple((g, c + (g == (2,))) for g, c in out)
+        return out
+
+    _clear_expansion_caches(real)
+    monkeypatch.setattr(schur, "_lr_expand_cached", corrupt)
+    try:
+        with pytest.raises(ArithmeticError, match="doubled expansion"):
+            double_bundle_expand((1, 1), 2)
+        code = cli.run(["chi", "--N", "2", "--n", "1", "--m", "1",
+                        "--functor", "wedge", "--k", "1"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert out.startswith('{"error": "internal: doubled expansion')
+    finally:
+        _clear_expansion_caches(real)
 
 
 def test_walks_match_oracle_under_row_cap():
