@@ -153,25 +153,14 @@ def _data_from_args(args):
     return embedding_data(args.N, splitting, args.n, args.r, args.m)
 
 
-# Top-level workers so grid verification can run in a process pool.
+# A top-level worker so grid verification can run in a process pool.
 
-def _wedge_case(case):
-    d, n, lam, k = case
-    rec = indices.verify_wedge_vanishing(d, n, lam, k)
-    return lam, rec.index, (k,), rec.ok, len(rec.summands)
-
-
-def _sym_case(case):
-    d, n, lam, k = case
-    rec = indices.verify_sym_vanishing(d, n, lam, k)
-    return lam, rec.index, (k,), rec.ok, len(rec.summands)
-
-
-def _dual_case(case):
-    d, n, r, lam, ks, mode, k = case
-    rec = indices.verify_dual_vanishing(d, n, r, lam, ks, mode, k)
-    return lam, rec.index, tuple(ks) + ((k,) if k is not None else ()), \
-        rec.ok, len(rec.summands)
+def _grid_case(case):
+    """Certify one grid case: verify(*args), reported with the degrees the
+    failure table lists for it."""
+    verify, args, emitted_ks = case
+    rec = verify(*args)
+    return rec.lam, rec.index, emitted_ks, rec.ok, len(rec.summands)
 
 
 def _worker_count(jobs: int, ncases: int) -> int:
@@ -204,23 +193,24 @@ def _grid_doc(rows) -> dict:
     }
 
 
-def _cmd_lr(args, fmt):
+# Each command returns (document, verified); run prints the document and
+# turns the verdict into the exit code.
+
+def _cmd_lr(args):
     a, b, g = (_parse_ints(args.alpha), _parse_ints(args.beta),
                _parse_ints(args.gamma))
-    _emit({"coefficient": lr_coefficient(a, b, g)}, fmt)
-    return 0
+    return {"coefficient": lr_coefficient(a, b, g)}, True
 
 
-def _cmd_cauchy(args, fmt):
+def _cmd_cauchy(args):
     pairs = cauchy_wedge(args.ell, args.rank_left, args.rank_right)
-    _emit({
+    return {
         "ell": args.ell,
         "terms": [{"left": l, "right": r} for l, r in pairs],
-    }, fmt)
-    return 0
+    }, True
 
 
-def _cmd_bwb(args, fmt):
+def _cmd_bwb(args):
     ctx = GrassmannianContext(args.d, args.n)
     bundle = HomogeneousBundle(ctx, _parse_ints(args.quot),
                                _parse_ints(args.sub))
@@ -232,11 +222,10 @@ def _cmd_bwb(args, fmt):
         doc["dimension"] = weyl_dim(res.gl_weight, args.d)
     doc["chi"] = euler_char(bundle)
     doc["dims"] = {str(i): v for i, v in cohomology_dims(bundle).items()}
-    _emit(doc, fmt)
-    return 0
+    return doc, True
 
 
-def _cmd_index(args, fmt):
+def _cmd_index(args):
     lam = _parse_ints(args.lam)
     if args.k is None:
         rep = indices.n_index(lam, args.n)
@@ -246,11 +235,10 @@ def _cmd_index(args, fmt):
     if rep.defined:
         doc["index"] = rep.index
         doc["shape"] = rep.shape
-    _emit(doc, fmt)
-    return 0
+    return doc, True
 
 
-def _cmd_cohomology(args, fmt):
+def _cmd_cohomology(args):
     """chi and cohomology of a sheaf; chi emits the Euler characteristic
     alone."""
     data = _data_from_args(args)
@@ -261,36 +249,27 @@ def _cmd_cohomology(args, fmt):
         doc["chi"] = result.chi
     else:
         doc.update(_cohomology_doc(result))
-    _emit(doc, fmt)
-    return 0
+    return doc, True
 
 
-def _cmd_theorem_ab(args, fmt):
+def _cmd_theorem(args):
+    """Theorem A or B on one power of degree --k, or C on the dualized
+    product of --ks; C's verdict is that every term is acyclic."""
     data = _data_from_args(args)
-    report = verify_theorem(data, args.theorem, (args.k,), (args.side,))
-    _emit({
+    c = args.theorem == "C"
+    factors = _parse_factors(args) if c else ((args.k,), (args.side,))
+    report = verify_theorem(data, args.theorem, *factors)
+    head = ({"all_zero": report.verified} if c
+            else {"expected_h0": report.expected_h0})
+    return {
         "theorem": args.theorem,
-        "expected_h0": report.expected_h0,
+        **head,
         "computed": _cohomology_doc(report.computed),
         "verified": report.verified,
-    }, fmt)
-    return 0 if report.verified else 1
+    }, report.verified
 
 
-def _cmd_theorem_c(args, fmt):
-    data = _data_from_args(args)
-    report = verify_theorem(data, "C", *_parse_factors(args))
-    all_zero = all(p.is_zero for _, p in report.computed.per_term)
-    _emit({
-        "theorem": "C",
-        "all_zero": all_zero,
-        "computed": _cohomology_doc(report.computed),
-        "verified": report.verified,
-    }, fmt)
-    return 0 if report.verified else 1
-
-
-def _cmd_props(args, fmt):
+def _cmd_props(args):
     data = _data_from_args(args)
     wedge_k = args.wedge_k if args.wedge_k is not None else min(1, args.n)
     sym_k = args.sym_k if args.sym_k is not None else min(2, args.n)
@@ -318,55 +297,55 @@ def _cmd_props(args, fmt):
         }
         ok = ok and report.ok
     doc["verified"] = ok
-    _emit(doc, fmt)
-    return 0 if ok else 1
+    return doc, ok
 
 
-def _verify_grid(doc, worker, cases, args, fmt):
+def _verify_grid(doc, cases, args):
     """Certify every case of a proposition's grid; an empty grid is an
     input error, not a verified claim."""
     if not cases:
         raise ValueError(f"no cases on the grid d={args.d}, n={args.n}")
-    rows = _run_cases(worker, cases, args.jobs or os.cpu_count() or 1)
-    doc.update(_grid_doc(rows))
-    _emit(doc, fmt)
-    return 0 if doc["verified"] else 1
+    doc.update(_grid_doc(_run_cases(_grid_case, cases, args.jobs)))
+    return doc, doc["verified"]
 
 
-def _cmd_prop_31(args, fmt):
-    d, n = args.d, args.n
-    cases = [(d, n, lam, k)
+def _cmd_prop_31(args):
+    d, n, verify = args.d, args.n, indices.verify_wedge_vanishing
+    cases = [(verify, (d, n, lam, k), (k,))
              for lam, _ in indices.indexed_partitions(d, n, 0, args.max_size)
              for k in range(n + 1)]
-    return _verify_grid({"d": d, "n": n}, _wedge_case, cases, args, fmt)
+    return _verify_grid({"d": d, "n": n}, cases, args)
 
 
-def _cmd_prop_32(args, fmt):
-    d, n = args.d, args.n
+def _cmd_prop_32(args):
+    d, n, verify = args.d, args.n, indices.verify_sym_vanishing
     sym_cap = 2 * n if args.sym_cap is None else args.sym_cap
     if sym_cap < 0:
         raise ValueError("--sym-cap must be nonnegative")
-    cases = [(d, n, lam, k)
+    cases = [(verify, (d, n, lam, k), (k,))
              for lam, rep in indices.indexed_partitions(d, n, 0, args.max_size)
              for k in range((n if rep.index == n else sym_cap) + 1)]
-    return _verify_grid({"d": d, "n": n}, _sym_case, cases, args, fmt)
+    return _verify_grid({"d": d, "n": n}, cases, args)
 
 
-def _cmd_prop_33(args, fmt):
+def _cmd_prop_33(args):
     d, n, r, plus = args.d, args.n, args.r, args.mode == "plus"
+    verify = indices.verify_dual_vanishing
     if plus and r < 1:
         raise ValueError("plus mode needs r >= 1")
-    # plus mode runs the k-variant index for each k, which takes one degree
-    cases = [(d, n, r, lam, ks, args.mode, k)
+    # plus mode runs the k-variant index for each k, which takes one degree;
+    # a failure lists the chained degrees, then k
+    cases = [(verify, (d, n, r, lam, ks, args.mode, k),
+              ks + ((k,) if plus else ()))
              for k in (range(n + 1) if plus else (None,))
              for lam, _ in indices.indexed_partitions(d, n, r, args.max_size,
                                                       k=k)
              for ks in product(range(n + 1), repeat=r - plus)]
     return _verify_grid({"d": d, "n": n, "r": r, "mode": args.mode},
-                        _dual_case, cases, args, fmt)
+                        cases, args)
 
 
-def _cmd_conjecture(args, fmt):
+def _cmd_conjecture(args):
     data = _data_from_args(args)
     if args.kind == "dual":
         ks = _parse_ints(args.ks)
@@ -377,7 +356,7 @@ def _cmd_conjecture(args, fmt):
         ks = (args.k,)
         deg_ls = (args.degL,)
     report = check_conjecture(data, args.kind, ks, deg_ls)
-    _emit({
+    return {
         "conjecture": args.kind,
         "ks": list(report.ks),
         "degL": list(report.deg_ls),
@@ -385,15 +364,14 @@ def _cmd_conjecture(args, fmt):
         "predicted": report.predicted,
         "computed": report.computed,
         "verified": report.verified,
-    }, fmt)
-    return 0 if report.verified else 1
+    }, report.verified
 
 
-def _cmd_series(args, fmt):
+def _cmd_series(args):
     splitting = _parse_ints(args.splitting) if args.splitting else None
     comparison = series.compare(args.kind, args.N, args.degL, args.nmax,
                                 splitting)
-    _emit({
+    return {
         "kind": args.kind,
         "N": args.N,
         "degL": args.degL,
@@ -403,8 +381,7 @@ def _cmd_series(args, fmt):
         "closed_form": comparison.closed,
         "mismatches": [list(m) for m in comparison.mismatches],
         "verified": comparison.equal,
-    }, fmt)
-    return 0 if comparison.equal else 1
+    }, comparison.equal
 
 
 @lru_cache(maxsize=None)
@@ -414,7 +391,7 @@ def build_parser() -> _Parser:
     parser serves every call of run."""
     parser = _Parser(prog="quotcoh", description=__doc__)
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
-    parser.add_argument("--jobs", type=int, default=None,
+    parser.add_argument("--jobs", type=int, default=1,
                         help="parallel workers for grid verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -461,13 +438,13 @@ def build_parser() -> _Parser:
         _add_embedding_flags(t)
         t.add_argument("--k", type=int, required=True)
         t.add_argument("--side", choices=(G1, G2), default=G2)
-        t.set_defaults(func=_cmd_theorem_ab, theorem=which)
+        t.set_defaults(func=_cmd_theorem, theorem=which)
 
     t = targets.add_parser("theorem-c", help="Theorem C on one embedding")
     _add_embedding_flags(t)
     t.add_argument("--ks", type=str, required=True)
     t.add_argument("--sides", type=str, default="")
-    t.set_defaults(func=_cmd_theorem_c)
+    t.set_defaults(func=_cmd_theorem, theorem="C")
 
     t = targets.add_parser("props", help="per-term acyclicity of the "
                            "resolutions of three sheaves")
@@ -519,13 +496,15 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code or 0
     try:
-        return args.func(args, args.format)
+        doc, verified = args.func(args)
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}))
         return 2
     except (ArithmeticError, AssertionError) as exc:
         print(json.dumps({"error": f"internal: {exc}"}))
         return 3
+    _emit(doc, args.format)
+    return 0 if verified else 1
 
 
 def main():

@@ -15,9 +15,10 @@ and return full records rather than booleans, so failures stay diagnosable.
 from dataclasses import dataclass
 from typing import Optional
 
-from .bott import GrassmannianContext, bwb, quot_dual_bundle
+from .bott import GrassmannianContext, HomogeneousBundle, bwb
 from .partitions import (
     as_partition,
+    negate_reverse,
     part,
     transpose,
     enumerate_in_box,
@@ -104,13 +105,16 @@ class VanishingRecord:
 
 def _check_summands(d, n, lam, index, kind, ks, deltas) -> VanishingRecord:
     ctx = GrassmannianContext(d, n)
+    zeros = (0,) * ctx.sub_rank
     lo = index
     hi = d - n + index - 1
     checks = []
     for delta, mult in sorted(deltas.items(), reverse=True):
         entry = part(delta, index)
         in_window = lo <= entry <= hi
-        vanishes = bwb(quot_dual_bundle(ctx, delta)).vanishes
+        # delta is a Pieri output, already padded to n entries
+        vanishes = bwb(HomogeneousBundle(ctx, negate_reverse(delta),
+                                         zeros)).vanishes
         checks.append(SummandCheck(delta, mult, in_window, vanishes))
     return VanishingRecord(d, n, lam, index, kind, tuple(ks), tuple(checks),
                            all(c.ok for c in checks))

@@ -166,19 +166,3 @@ def all_in_box(max_rows: int, max_cols: int) -> list:
         for lam in enumerate_in_box(max_rows, max_cols, total)
     ]
 
-
-def subpartitions(lam) -> list:
-    """All partitions contained in lam, in decreasing lexicographic order."""
-    out = []
-    _fill_sub(out, [], lam, 0, lam[0] if lam else 0)
-    return sorted(out, reverse=True)
-
-
-def _fill_sub(out, stack, lam, i, cap):
-    out.append(tuple(stack))
-    if i == len(lam):
-        return
-    for p in range(min(cap, lam[i]), 0, -1):
-        stack.append(p)
-        _fill_sub(out, stack, lam, i + 1, p)
-        stack.pop()

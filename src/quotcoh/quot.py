@@ -33,7 +33,7 @@ cohomology is memoized on the EmbeddingData itself, keyed by the twist of
 one side, (functor, ks) over that side's factors of positive degree (the
 identity twist when there are none):
 
-* per G1 twist: its quotient weights, checked once;
+* per G1 twist: its quotient weights;
 * per (G1 twist, ell): the term's live pieces, those whose G1 factor is
   not acyclic, each as lam with its G1 {degree: dim} items;
 * per (G2 twist, lam): the G2 factor's {degree: dim} items.
@@ -57,7 +57,6 @@ from .bott import (
     HomogeneousBundle,
     bwb,
     bwb_weight,
-    check_weight,
 )
 from .partitions import (
     binom,
@@ -258,7 +257,7 @@ def _twist(sheaf: TautologicalSheaf, side: str) -> tuple:
 
 def _g1_quotient_weights(data: EmbeddingData, functor: str,
                          ks: tuple) -> tuple:
-    """The twist (functor, ks) on the first Grassmannian, as checked
+    """The twist (functor, ks) on the first Grassmannian, as
     (quotient weight, multiplicity) pairs.  Memoized on the embedding.
 
     On G1 the twist is the whole quotient weight, turned from dual
@@ -269,8 +268,7 @@ def _g1_quotient_weights(data: EmbeddingData, functor: str,
     if quots is None:
         g1_dual = pieri_twist({(): 1}, data.q1, functor, ks)
         quots = data._pieces[key] = tuple(
-            (check_weight(negate_reverse(w), data.q1, "quotient"), m)
-            for w, m in g1_dual.items())
+            (negate_reverse(w), m) for w, m in g1_dual.items())
     return quots
 
 
@@ -386,8 +384,7 @@ def _g1_live_pieces(data: EmbeddingData, functor: str, ks: tuple,
         quots = _g1_quotient_weights(data, functor, ks)
         live = []
         for lam_t, lam in cauchy_wedge(ell, sub_len, 2 * data.q2):
-            sub1 = check_weight(pad(lam_t, sub_len), sub_len, "sub")
-            dims1 = _factor_dims(data.d1, quots, sub1)
+            dims1 = _factor_dims(data.d1, quots, pad(lam_t, sub_len))
             if dims1:
                 live.append((lam, tuple(dims1.items())))
         live = data._pieces[key] = tuple(live)
@@ -401,13 +398,10 @@ def _g2_piece(data: EmbeddingData, functor: str, ks: tuple,
     key = (G2, functor, ks, lam)
     dims2 = data._pieces.get(key)
     if dims2 is None:
-        zeros2 = check_weight((0,) * (data.d2 - data.q2), data.d2 - data.q2,
-                              "sub")
-        quots = {check_weight(w, data.q2, "quotient"): m
-                 for w, m in _g2_quotient_weights(data, functor, ks,
-                                                  lam).items()}
+        zeros2 = (0,) * (data.d2 - data.q2)
+        quots = _g2_quotient_weights(data, functor, ks, lam).items()
         dims2 = data._pieces[key] = tuple(
-            _factor_dims(data.d2, quots.items(), zeros2).items())
+            _factor_dims(data.d2, quots, zeros2).items())
     return dims2
 
 
@@ -419,8 +413,9 @@ def term_profiles(data: EmbeddingData, sheaf: TautologicalSheaf):
     cohomology of the Cauchy pieces is read from the embedding's memo,
     filled on first use: the live pieces with their G1 factors per (G1
     twist, ell), the G2 factor per (G2 twist, lam).  Only their
-    convolution is done per sheaf; weights are validated once per memo
-    entry, when it is built.
+    convolution is done per sheaf.  Every weight is a padded Cauchy
+    transpose, a zero weight or a Pieri output, valid by construction, so
+    none is checked here; only the sheaf is, at the entry.
     """
     _validate_sheaf(data, sheaf)
     twist1, twist2 = _twist(sheaf, G1), _twist(sheaf, G2)
@@ -478,7 +473,6 @@ class TheoremReport:
     expected_h0: int
     computed: QuotCohomology
     verified: bool
-    notes: tuple = ()
 
 
 def _check_theorem_c(data: EmbeddingData, ks: tuple, sides: tuple):
@@ -508,7 +502,6 @@ def verify_theorem(data: EmbeddingData, which: str, ks, sides=None) -> TheoremRe
     sides = tuple(sides)
     if data.r != 0:
         raise ValueError("the theorems concern finite quotients (r = 0)")
-    notes = []
     if which in ("A", "B"):
         (k,), (side,) = ks, sides
         deg_l = data.twist_degree(side)
@@ -521,8 +514,6 @@ def verify_theorem(data: EmbeddingData, which: str, ks, sides=None) -> TheoremRe
         computed = quot_cohomology(data, sheaf)
         want = ((0, expected),) if expected else ()
         verified = computed.degenerate and computed.dims == want
-        if not computed.degenerate:
-            notes.append("some term in degrees >= 1 carries cohomology")
     elif which == "C":
         _check_theorem_c(data, ks, sides)
         sheaf = dual_wedge_product(tuple(zip(ks, sides)))
@@ -531,8 +522,7 @@ def verify_theorem(data: EmbeddingData, which: str, ks, sides=None) -> TheoremRe
         verified = all(p.is_zero for _, p in computed.per_term)
     else:
         raise ValueError(f"unknown theorem {which!r}")
-    return TheoremReport(which, sheaf, expected, computed, verified,
-                         tuple(notes))
+    return TheoremReport(which, sheaf, expected, computed, verified)
 
 
 @dataclass(frozen=True)

@@ -192,9 +192,9 @@ def double_bundle_triples(lam, n: int):
     """Walk the doubled-bundle expansion of S_lam one triple at a time.
 
     Yields (alpha, beta, gamma, c^lam_{alpha,beta} c^gamma_{alpha,beta}) over
-    nonzero products with alpha, beta and gamma of at most n rows.
+    nonzero products with alpha, beta and gamma of at most n rows.  lam
+    must already be a normalized partition.
     """
-    lam = as_partition(lam)
     # A nonzero alpha or beta has no more rows than lam, and a nonzero gamma
     # no more than alpha and beta together, so a larger n builds nothing
     # more; capping it there also shares the public tensor expansion's

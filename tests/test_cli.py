@@ -1,4 +1,7 @@
 import concurrent.futures
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import shlex
@@ -7,7 +10,7 @@ import sys
 
 import pytest
 
-from quotcoh import cli
+from quotcoh import cli, indices
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +157,36 @@ def test_failed_claim_exits_1(capsys, monkeypatch):
     assert code == 1 and doc["verified"] is False
 
 
+def test_failed_verdicts_exit_1(capsys, monkeypatch):
+    # run alone turns a command's verdict into the exit code: a failed
+    # theorem or grid exits 1 and still prints its document
+    real_theorem = cli.verify_theorem
+    monkeypatch.setattr(cli, "verify_theorem", lambda *a: dataclasses.replace(
+        real_theorem(*a), verified=False))
+    for argv in (("theorem-a", "--N", "2", "--n", "1", "--m", "1", "--k", "1"),
+                 ("theorem-c", "--N", "3", "--n", "1", "--m", "1", "--ks",
+                  "1,1", "--sides", "G2,G1")):
+        code, doc = run_json(capsys, "verify", *argv)
+        assert code == 1 and doc["verified"] is False, argv
+    assert doc["all_zero"] is False
+
+    # a plus-mode failure lists the chained degrees, then k
+    real_dual = indices.verify_dual_vanishing
+    calls = []
+
+    def failing(d, n, r, lam, ks, mode, k):
+        calls.append([str(x) for x in ks + (k,)])
+        return dataclasses.replace(real_dual(d, n, r, lam, ks, mode, k),
+                                   ok=False)
+
+    monkeypatch.setattr(indices, "verify_dual_vanishing", failing)
+    code, doc = run_json(capsys, "verify", "prop-3.3", "--d", "8", "--n", "2",
+                         "--r", "2", "--mode", "plus", "--max-size", "3")
+    assert code == 1 and doc["verified"] is False
+    assert calls and all(len(ks) == 2 for ks in calls)
+    assert [row["ks"] for row in doc["failures"]] == calls
+
+
 def test_internal_faults_exit_3(capsys, monkeypatch):
     # a failed consistency check inside the engine is not an input error
     def weyl_fault(data, sheaf):
@@ -264,18 +297,38 @@ def _golden_name(argv) -> str:
 def test_readme_commands_run(capsys):
     # Each command's stdout must match tests/golden_cli/ byte for byte;
     # `python tests/test_cli.py` rewrites that directory from the current
-    # tree.
+    # tree.  A command prints no document itself: it returns the document
+    # and its verdict, and run alone emits it.
     commands = _readme_commands()
     assert len(commands) == 19
     assert sorted(os.listdir(GOLDEN_DIR)) == \
         sorted(_golden_name(argv) for argv in commands)
     for argv in commands:
-        # --jobs 1 keeps the grid targets from forking a pool
-        code, out = run_cli(capsys, "--jobs", "1", *argv)
+        with open(os.path.join(GOLDEN_DIR, _golden_name(argv)), "rb") as fh:
+            golden = fh.read()
+        code, out = run_cli(capsys, *argv)
         assert code == 0, argv
         json.loads(out)
-        with open(os.path.join(GOLDEN_DIR, _golden_name(argv)), "rb") as fh:
-            assert out.encode() == fh.read(), argv
+        assert out.encode() == golden, argv
+
+        args = cli.build_parser().parse_args(argv)
+        result = args.func(args)
+        assert capsys.readouterr().out == "", argv
+        assert type(result) is tuple and len(result) == 2, argv
+        doc, verified = result
+        assert type(doc) is dict and verified is True, argv
+        cli._emit(doc, args.format)
+        assert capsys.readouterr().out.encode() == golden, argv
+
+
+def test_golden_rewrite_keeps_the_tree_when_a_command_fails(tmp_path,
+                                                            monkeypatch):
+    (tmp_path / "old.out").write_text("old")
+    real_run = cli.run
+    monkeypatch.setattr(cli, "run", lambda argv: 2 if argv[0] == "series"
+                        else real_run(argv))
+    assert "exited 2" in _write_golden(str(tmp_path))
+    assert os.listdir(tmp_path) == ["old.out"]
 
 
 def test_one_parser_serves_every_call(capsys):
@@ -363,16 +416,25 @@ def test_grid_workers_capped_by_cores_and_cases(monkeypatch):
     assert sizes == [2]
 
 
-if __name__ == "__main__":
-    import contextlib
-    import io
-
-    os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name in os.listdir(GOLDEN_DIR):
-        os.remove(os.path.join(GOLDEN_DIR, name))
+def _write_golden(golden_dir):
+    """Rewrite golden_dir from the README commands.  If one exits non-zero,
+    leave the directory as it is and return a message naming it."""
+    outputs = {}
     for argv in _readme_commands():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            cli.run(["--jobs", "1", *argv])
-        with open(os.path.join(GOLDEN_DIR, _golden_name(argv)), "wb") as fh:
-            fh.write(buf.getvalue().encode())
+            code = cli.run(argv)
+        if code != 0:
+            return f"{shlex.join(argv)} exited {code}; {golden_dir} not written"
+        outputs[_golden_name(argv)] = buf.getvalue()
+    os.makedirs(golden_dir, exist_ok=True)
+    for name in os.listdir(golden_dir):
+        os.remove(os.path.join(golden_dir, name))
+    for name, out in outputs.items():
+        with open(os.path.join(golden_dir, name), "wb") as fh:
+            fh.write(out.encode())
+    return None
+
+
+if __name__ == "__main__":
+    sys.exit(_write_golden(GOLDEN_DIR))

@@ -11,7 +11,6 @@ from quotcoh.partitions import (
     negate_reverse,
     pad,
     size,
-    subpartitions,
     transpose,
     union,
     weyl_dim,
@@ -132,12 +131,6 @@ def test_enumerate_in_box_counts_and_order():
                 seen.extend(batch)
             assert len(seen) == len(set(seen))
             assert len(seen) == math.comb(rows + cols, rows)
-
-
-def test_subpartitions():
-    subs = subpartitions((2, 1))
-    assert set(subs) == {(), (1,), (1, 1), (2,), (2, 1)}
-    assert subs == sorted(subs, reverse=True)
 
 
 def test_negate_reverse_involutive():

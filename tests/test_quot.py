@@ -5,7 +5,7 @@ import weakref
 import pytest
 
 from quotcoh import quot, schur
-from quotcoh.partitions import enumerate_in_box, subpartitions
+from quotcoh.partitions import enumerate_in_box
 from quotcoh.quot import (
     G1,
     G2,
@@ -392,7 +392,6 @@ def test_recursive_walks_leave_no_reference_cycles():
     gc.disable()
     try:
         enumerate_in_box(4, 4, 6)
-        subpartitions((3, 2, 1))
         schur.lr_coefficient((2, 1), (2, 1), (3, 2, 1))
         schur._pieri_sym_cached.__wrapped__((2, 1, 0), 3, False)
         quot_cohomology(data, sym_power(2, G1))
