@@ -130,14 +130,27 @@ def _cohomology_doc(result) -> dict:
     return doc
 
 
+def _functor_flags(args, kind: str, need: tuple, foreign: tuple):
+    """Reject each flag in foreign that was given and require each in need;
+    flags are named by their dest, and an unset one is None or empty."""
+    given = [f"--{f}" for f in foreign if getattr(args, f) not in (None, "")]
+    if given:
+        raise ValueError(f"{kind} does not take {' or '.join(given)}")
+    missing = [f"--{f}" for f in need if getattr(args, f) in (None, "")]
+    if missing:
+        raise ValueError(f"{kind} needs {' and '.join(missing)}")
+
+
 def _sheaf_from_args(args):
-    if args.functor in ("wedge", "sym") and args.k is None:
-        raise ValueError(f"--functor {args.functor} needs --k")
-    if args.functor == "wedge":
-        return wedge_power(args.k, args.side)
-    if args.functor == "sym":
-        return sym_power(args.k, args.side)
-    return dual_wedge_product(zip(*_parse_factors(args)))
+    """A power takes --k (and --side); the dualized product takes --ks
+    (and --sides)."""
+    kind = f"--functor {args.functor}"
+    if args.functor == "dual":
+        _functor_flags(args, kind, ("ks",), ("k",))
+        return dual_wedge_product(zip(*_parse_factors(args)))
+    _functor_flags(args, kind, ("k",), ("ks", "sides"))
+    power = wedge_power if args.functor == "wedge" else sym_power
+    return power(args.k, args.side)
 
 
 def _add_embedding_flags(p):
@@ -151,46 +164,6 @@ def _add_embedding_flags(p):
 def _data_from_args(args):
     splitting = _parse_ints(args.splitting) if args.splitting else None
     return embedding_data(args.N, splitting, args.n, args.r, args.m)
-
-
-# A top-level worker so grid verification can run in a process pool.
-
-def _grid_case(case):
-    """Certify one grid case: verify(*args), reported with the degrees the
-    failure table lists for it."""
-    verify, args, emitted_ks = case
-    rec = verify(*args)
-    return rec.lam, rec.index, emitted_ks, rec.ok, len(rec.summands)
-
-
-def _worker_count(jobs: int, ncases: int) -> int:
-    """Pool size for a grid: a pool forks all its workers up front, so never
-    more than there are cores or cases."""
-    return max(1, min(jobs, os.cpu_count() or 1, ncases))
-
-
-def _run_cases(worker, cases, jobs: int):
-    workers = _worker_count(jobs, len(cases))
-    if workers > 1:
-        # Imported here: it loads multiprocessing, which most commands skip.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, cases, chunksize=8))
-    return [worker(c) for c in cases]
-
-
-def _grid_doc(rows) -> dict:
-    failures = [
-        {"lambda": lam, "index": idx, "ks": ks}
-        for lam, idx, ks, ok, _ in rows if not ok
-    ]
-    return {
-        "cases": len(rows),
-        "summands_checked": sum(r[4] for r in rows),
-        "failures": failures,
-        "verified": not failures,
-    }
 
 
 # Each command returns (document, verified); run prints the document and
@@ -300,59 +273,69 @@ def _cmd_props(args):
     return doc, ok
 
 
-def _verify_grid(doc, cases, args):
-    """Certify every case of a proposition's grid; an empty grid is an
+def _verify_grid(doc, verify, cases):
+    """Certify every case of a proposition's grid: each is verify's
+    arguments and the degrees a failure lists for it.  An empty grid is an
     input error, not a verified claim."""
     if not cases:
-        raise ValueError(f"no cases on the grid d={args.d}, n={args.n}")
-    doc.update(_grid_doc(_run_cases(_grid_case, cases, args.jobs)))
-    return doc, doc["verified"]
+        raise ValueError(f"no cases on the grid d={doc['d']}, n={doc['n']}")
+    failures = []
+    checked = 0
+    for case, ks in cases:
+        rec = verify(*case)
+        checked += len(rec.summands)
+        if not rec.ok:
+            failures.append({"lambda": rec.lam, "index": rec.index, "ks": ks})
+    doc.update(cases=len(cases), summands_checked=checked, failures=failures,
+               verified=not failures)
+    return doc, not failures
 
 
 def _cmd_prop_31(args):
-    d, n, verify = args.d, args.n, indices.verify_wedge_vanishing
-    cases = [(verify, (d, n, lam, k), (k,))
+    d, n = args.d, args.n
+    cases = [((d, n, lam, k), (k,))
              for lam, _ in indices.indexed_partitions(d, n, 0, args.max_size)
              for k in range(n + 1)]
-    return _verify_grid({"d": d, "n": n}, cases, args)
+    return _verify_grid({"d": d, "n": n}, indices.verify_wedge_vanishing,
+                        cases)
 
 
 def _cmd_prop_32(args):
-    d, n, verify = args.d, args.n, indices.verify_sym_vanishing
+    d, n = args.d, args.n
     sym_cap = 2 * n if args.sym_cap is None else args.sym_cap
     if sym_cap < 0:
         raise ValueError("--sym-cap must be nonnegative")
-    cases = [(verify, (d, n, lam, k), (k,))
+    cases = [((d, n, lam, k), (k,))
              for lam, rep in indices.indexed_partitions(d, n, 0, args.max_size)
              for k in range((n if rep.index == n else sym_cap) + 1)]
-    return _verify_grid({"d": d, "n": n}, cases, args)
+    return _verify_grid({"d": d, "n": n}, indices.verify_sym_vanishing,
+                        cases)
 
 
 def _cmd_prop_33(args):
     d, n, r, plus = args.d, args.n, args.r, args.mode == "plus"
-    verify = indices.verify_dual_vanishing
     if plus and r < 1:
         raise ValueError("plus mode needs r >= 1")
     # plus mode runs the k-variant index for each k, which takes one degree;
     # a failure lists the chained degrees, then k
-    cases = [(verify, (d, n, r, lam, ks, args.mode, k),
-              ks + ((k,) if plus else ()))
+    cases = [((d, n, r, lam, ks, args.mode, k), ks + ((k,) if plus else ()))
              for k in (range(n + 1) if plus else (None,))
              for lam, _ in indices.indexed_partitions(d, n, r, args.max_size,
                                                       k=k)
              for ks in product(range(n + 1), repeat=r - plus)]
     return _verify_grid({"d": d, "n": n, "r": r, "mode": args.mode},
-                        cases, args)
+                        indices.verify_dual_vanishing, cases)
 
 
 def _cmd_conjecture(args):
     data = _data_from_args(args)
+    single, multi = ("k", "degL"), ("ks", "degLs")
     if args.kind == "dual":
+        _functor_flags(args, args.kind, multi, single)
         ks = _parse_ints(args.ks)
         deg_ls = _parse_ints(args.degLs)
     else:
-        if args.k is None or args.degL is None:
-            raise ValueError("wedge and sym need --k and --degL")
+        _functor_flags(args, args.kind, single, multi)
         ks = (args.k,)
         deg_ls = (args.degL,)
     report = check_conjecture(data, args.kind, ks, deg_ls)
@@ -391,8 +374,6 @@ def build_parser() -> _Parser:
     parser serves every call of run."""
     parser = _Parser(prog="quotcoh", description=__doc__)
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for grid verification")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lr", help="one Littlewood-Richardson coefficient")

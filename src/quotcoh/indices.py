@@ -15,7 +15,7 @@ and return full records rather than booleans, so failures stay diagnosable.
 from dataclasses import dataclass
 from typing import Optional
 
-from .bott import GrassmannianContext, HomogeneousBundle, bwb
+from .bott import bwb_weight
 from .partitions import (
     as_partition,
     negate_reverse,
@@ -41,6 +41,8 @@ def n_index(lam, n: int) -> IndexReport:
     """Largest j whose column has >= n + j boxes, defined only when every
     column has either < j or >= n + j boxes."""
     lam = as_partition(lam)
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
     if not lam:
         raise ValueError("the empty partition has no index")
     best = None
@@ -103,20 +105,22 @@ class VanishingRecord:
     ok: bool
 
 
-def _check_summands(d, n, lam, index, kind, ks, deltas) -> VanishingRecord:
-    ctx = GrassmannianContext(d, n)
-    zeros = (0,) * ctx.sub_rank
-    lo = index
+def _certify(d, n, lam, index, kind, functor, ks) -> VanishingRecord:
+    """Twist lam's doubled expansion by functor over ks and check every
+    summand against the window [index, d-n+index-1] at row index and
+    against Borel-Weil-Bott on S_delta(B dual).
+
+    The callers have checked their arguments; each delta is a Pieri output
+    padded to n entries, so its bundle weight needs no second check.
+    """
+    deltas = pieri_twist(double_bundle_expand(lam, n), n, functor, ks)
+    zeros = (0,) * (d - n)
     hi = d - n + index - 1
-    checks = []
-    for delta, mult in sorted(deltas.items(), reverse=True):
-        entry = part(delta, index)
-        in_window = lo <= entry <= hi
-        # delta is a Pieri output, already padded to n entries
-        vanishes = bwb(HomogeneousBundle(ctx, negate_reverse(delta),
-                                         zeros)).vanishes
-        checks.append(SummandCheck(delta, mult, in_window, vanishes))
-    return VanishingRecord(d, n, lam, index, kind, tuple(ks), tuple(checks),
+    checks = tuple(
+        SummandCheck(delta, mult, index <= part(delta, index) <= hi,
+                     bwb_weight(d, negate_reverse(delta) + zeros) is None)
+        for delta, mult in sorted(deltas.items(), reverse=True))
+    return VanishingRecord(d, n, lam, index, kind, tuple(ks), checks,
                            all(c.ok for c in checks))
 
 
@@ -140,8 +144,7 @@ def verify_wedge_vanishing(d: int, n: int, lam, k: int) -> VanishingRecord:
         raise ValueError(f"{lam} has no index for n={n}")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
-    deltas = pieri_twist(double_bundle_expand(lam, n), n, "wedge", (k,))
-    return _check_summands(d, n, lam, rep.index, "wedge", (k,), deltas)
+    return _certify(d, n, lam, rep.index, "wedge", "wedge", (k,))
 
 
 def verify_sym_vanishing(d: int, n: int, lam, k: int) -> VanishingRecord:
@@ -159,8 +162,7 @@ def verify_sym_vanishing(d: int, n: int, lam, k: int) -> VanishingRecord:
         raise ValueError("k must be nonnegative")
     if rep.index == n and k > n:
         raise ValueError(f"index n={n} only covers k <= n, got k={k}")
-    deltas = pieri_twist(double_bundle_expand(lam, n), n, "sym", (k,))
-    return _check_summands(d, n, lam, rep.index, "sym", (k,), deltas)
+    return _certify(d, n, lam, rep.index, "sym", "sym", (k,))
 
 
 def verify_dual_vanishing(d: int, n: int, r: int, lam, ks,
@@ -193,9 +195,7 @@ def verify_dual_vanishing(d: int, n: int, r: int, lam, ks,
         raise ValueError(f"unknown mode {mode!r}")
     if not rep.defined:
         raise ValueError(f"{lam} has no index for n={n} in mode {mode}")
-    deltas = pieri_twist(double_bundle_expand(lam, n), n, "dual", ks)
-    kind = "dual-plain" if mode == "plain" else "dual-plus"
-    return _check_summands(d, n, lam, rep.index, kind, ks, deltas)
+    return _certify(d, n, lam, rep.index, f"dual-{mode}", "dual", ks)
 
 
 def indexed_partitions(d: int, n: int, r: int = 0,

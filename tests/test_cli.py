@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import dataclasses
 import io
@@ -113,14 +112,14 @@ def test_verify_props(capsys):
 
 
 def test_verify_grid(capsys):
-    code, doc = run_json(capsys, "--jobs", "1", "verify", "prop-3.1",
+    code, doc = run_json(capsys, "verify", "prop-3.1",
                          "--d", "5", "--n", "2")
     assert code == 0
     assert doc["verified"] is True and doc["failures"] == []
-    code, doc = run_json(capsys, "--jobs", "1", "verify", "prop-3.2",
+    code, doc = run_json(capsys, "verify", "prop-3.2",
                          "--d", "5", "--n", "2")
     assert code == 0 and doc["verified"] is True
-    code, doc = run_json(capsys, "--jobs", "1", "verify", "prop-3.3",
+    code, doc = run_json(capsys, "verify", "prop-3.3",
                          "--d", "5", "--n", "2", "--r", "1",
                          "--mode", "plus")
     assert code == 0
@@ -229,6 +228,34 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2 and "N >= 1" in doc["error"]
     code, out = run_cli(capsys, "nonsense")
     assert code == 2
+    # grids run in one process: there is no --jobs flag
+    code, doc = run_json(capsys, "--jobs", "2", "verify", "prop-3.1", "--d",
+                         "6", "--n", "2")
+    assert code == 2 and "error" in doc
+    code, doc = run_json(capsys, "index", "--lambda", "2,1", "--n", "-1")
+    assert code == 2 and "n >= 0" in doc["error"]
+
+    # a power takes --k, the dualized product --ks; the other kind's flags
+    # are rejected, not ignored
+    embedding = ("--N", "2", "--n", "1", "--m", "1")
+    for argv, flag in (
+            (("chi",) + embedding + ("--functor", "dual"), "--ks"),
+            (("chi",) + embedding + ("--functor", "dual", "--k", "1"), "--k"),
+            (("cohomology",) + embedding + ("--functor", "wedge", "--k", "1",
+                                            "--ks", "1"), "--ks"),
+            (("chi",) + embedding + ("--functor", "sym", "--k", "1",
+                                     "--sides", "G2"), "--sides")):
+        code, doc = run_json(capsys, *argv)
+        assert code == 2 and flag in doc["error"], argv
+    embedding = ("--N", "3", "--n", "1", "--r", "1", "--m", "1")
+    for argv, flag in ((("wedge", "--k", "1", "--degL", "1", "--ks", "5"),
+                        "--ks"),
+                       (("sym", "--k", "1", "--degL", "1", "--degLs", "1"),
+                        "--degLs"),
+                       (("dual", "--k", "1", "--degL", "1"), "--k"),
+                       (("dual", "--ks", "1"), "--degLs")):
+        code, doc = run_json(capsys, "conjecture", *argv, *embedding)
+        assert code == 2 and flag in doc["error"], argv
 
     # each verify target takes exactly its own flags
     code, doc = run_json(capsys, "verify", "theorem-a", "--N", "2", "--n", "2",
@@ -249,9 +276,9 @@ def test_invalid_inputs_exit_2(capsys):
     # an empty or truncated grid is not a verified claim
     for argv in (("prop-3.1", "--d", "6", "--n", "2", "--max-size", "0"),
                  ("prop-3.1", "--d", "3", "--n", "2")):
-        code, doc = run_json(capsys, "--jobs", "1", "verify", *argv)
+        code, doc = run_json(capsys, "verify", *argv)
         assert code == 2 and "no cases" in doc["error"]
-    code, doc = run_json(capsys, "--jobs", "1", "verify", "prop-3.2", "--d",
+    code, doc = run_json(capsys, "verify", "prop-3.2", "--d",
                          "6", "--n", "2", "--sym-cap", "-1")
     assert code == 2 and "--sym-cap" in doc["error"]
 
@@ -383,37 +410,6 @@ def test_closed_stdout_exits_without_traceback():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert b"Traceback" not in err and b"BrokenPipe" not in err
-
-
-def test_grid_workers_capped_by_cores_and_cases(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    assert cli._worker_count(5000, 100) == 4
-    assert cli._worker_count(5000, 3) == 3
-    assert cli._worker_count(2, 100) == 2
-    assert cli._worker_count(-1, 100) == 1
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert cli._worker_count(8, 100) == 1
-
-    # the pool is sized by the cap; a stand-in records it, nothing is forked
-    sizes = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, cases, chunksize):
-            return map(fn, cases)
-
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    assert cli._run_cases(abs, [-1, -2, -3], 5000) == [1, 2, 3]
-    assert sizes == [2]
 
 
 def _write_golden(golden_dir):

@@ -1,6 +1,8 @@
 import pytest
 
+from quotcoh.bott import GrassmannianContext, bwb, quot_dual_bundle
 from quotcoh.indices import (
+    _certify,
     indexed_partitions,
     kn_index,
     lemma_triples,
@@ -143,6 +145,30 @@ def test_verify_grids_small():
             kss = [()] if r == 0 else [(k,) for k in range(n + 1)]
             for ks in kss:
                 assert verify_dual_vanishing(d, n, r, lam, ks).ok
+
+
+def test_vanishing_flag_matches_bwb():
+    # every certificate on these grids is ok, so each summand's flag is
+    # compared with Borel-Weil-Bott run on its bundle from scratch
+    records = []
+    for d, n in ((5, 2), (7, 2), (7, 3)):
+        for lam, _ in indexed_partitions(d, n):
+            for k in range(n + 1):
+                records.append(verify_wedge_vanishing(d, n, lam, k))
+                records.append(verify_sym_vanishing(d, n, lam, k))
+        for lam, _ in indexed_partitions(d, n, 1):
+            for k in range(n + 1):
+                records.append(verify_dual_vanishing(d, n, 1, lam, (k,)))
+    summands = [(rec, s) for rec in records for s in rec.summands]
+    assert summands
+    for rec, s in summands:
+        ctx = GrassmannianContext(rec.d, rec.n)
+        assert s.bott_vanishes == bwb(quot_dual_bundle(ctx, s.delta)).vanishes
+
+    # the zero weight, the trivial bundle, has H^0 and must be flagged
+    rec = _certify(6, 2, (), 1, "dual-plain", "dual", ())
+    assert [s.delta for s in rec.summands] == [(0, 0)]
+    assert rec.summands[0].bott_vanishes is False and not rec.ok
 
 
 def test_indexed_partitions_box_and_size():
