@@ -118,8 +118,7 @@ def bwb(bundle: HomogeneousBundle) -> BWBResult:
     res = bwb_weight(bundle.ctx.d, bundle.quot + bundle.sub)
     if res is None:
         return BWBResult(True)
-    degree, gl = res
-    return BWBResult(False, degree, gl)
+    return BWBResult(False, *res)
 
 
 def cohomology_dims(bundle: HomogeneousBundle) -> dict:
@@ -131,12 +130,19 @@ def cohomology_dims(bundle: HomogeneousBundle) -> dict:
 
 
 def euler_char(bundle: HomogeneousBundle) -> int:
-    """Exact Euler characteristic: 0 or (-1)^degree times the group's
-    dimension."""
-    res = bwb(bundle)
-    if res.vanishes:
-        return 0
-    return (-1) ** res.degree * weyl_dim(res.gl_weight, bundle.ctx.d)
+    """Exact Euler characteristic: the alternating sum of the cohomology
+    dimensions."""
+    return sum((-1) ** i * v for i, v in cohomology_dims(bundle).items())
+
+
+def _window_row(mu: tuple, width: int, k: int) -> Optional[int]:
+    """Smallest j with j - 1 <= mu_j <= width + j - 1 and mu_j != j + k - 1,
+    reading row len(mu) + 1 as 0, or None.  At k = 0: j <= mu_j."""
+    for j in range(1, len(mu) + 2):
+        mj = part(mu, j)
+        if j - 1 <= mj <= width + j - 1 and mj != j + k - 1:
+            return j
+    return None
 
 
 def vanishes_sub_condition(mu, n: int) -> Optional[int]:
@@ -147,10 +153,7 @@ def vanishes_sub_condition(mu, n: int) -> Optional[int]:
     mu = as_weight(mu)
     if mu and mu[-1] < 0:
         raise ValueError(f"expected a partition, got {mu}")
-    for j in range(1, len(mu) + 1):
-        if j <= mu[j - 1] <= n + j - 1:
-            return j
-    return None
+    return _window_row(mu, n, 0)
 
 
 def vanishes_quot_dual_condition(nu, d: int, n: int) -> Optional[int]:
@@ -163,10 +166,7 @@ def vanishes_quot_dual_condition(nu, d: int, n: int) -> Optional[int]:
         raise ValueError(f"expected a partition, got {nu}")
     if len(nu) > n:
         raise ValueError(f"{nu} has more than n={n} rows")
-    for j in range(1, len(nu) + 1):
-        if j <= nu[j - 1] <= d - n + j - 1:
-            return j
-    return None
+    return _window_row(nu, d - n, 0)
 
 
 def vanishes_plus_condition(mu, n: int, k: int) -> Optional[int]:
@@ -181,11 +181,7 @@ def vanishes_plus_condition(mu, n: int, k: int) -> Optional[int]:
         raise ValueError(f"expected a partition, got {mu}")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    for j in range(1, len(mu) + 2):
-        mj = part(mu, j)
-        if j - 1 <= mj <= n + j - 1 and mj != j + k - 1:
-            return j
-    return None
+    return _window_row(mu, n, k)
 
 
 def line_bundle_p1(t: int) -> HomogeneousBundle:

@@ -24,9 +24,7 @@ from .bott import (
     HomogeneousBundle,
     bwb,
     cohomology_dims,
-    euler_char,
 )
-from .partitions import weyl_dim
 from .quot import (
     G1,
     G2,
@@ -113,18 +111,11 @@ def _emit(doc: dict, fmt: str):
         print(json.dumps(doc))
 
 
-def _profile_doc(profile) -> dict:
-    return {str(i): d for i, d in profile.dims}
-
-
 def _cohomology_doc(result) -> dict:
-    doc = {"chi": result.chi, "degenerate": result.degenerate}
-    if result.dims is None:
-        doc["dims"] = None
-    else:
-        doc["dims"] = {str(i): d for i, d in result.dims}
+    doc = {"chi": result.chi, "degenerate": result.degenerate,
+           "dims": None if result.dims is None else dict(result.dims)}
     doc["per_term"] = [
-        {"ell": ell, "dims": _profile_doc(p), "chi": p.chi, "acyclic": p.is_zero}
+        {"ell": ell, "dims": dict(p.dims), "chi": p.chi, "acyclic": p.is_zero}
         for ell, p in result.per_term
     ]
     return doc
@@ -188,13 +179,14 @@ def _cmd_bwb(args):
     bundle = HomogeneousBundle(ctx, _parse_ints(args.quot),
                                _parse_ints(args.sub))
     res = bwb(bundle)
+    dims = cohomology_dims(bundle)
     doc = {"vanishes": res.vanishes}
     if not res.vanishes:
         doc["degree"] = res.degree
         doc["gl_weight"] = res.gl_weight
-        doc["dimension"] = weyl_dim(res.gl_weight, args.d)
-    doc["chi"] = euler_char(bundle)
-    doc["dims"] = {str(i): v for i, v in cohomology_dims(bundle).items()}
+        doc["dimension"] = dims[res.degree]
+    doc["chi"] = sum((-1) ** i * v for i, v in dims.items())
+    doc["dims"] = dims
     return doc, True
 
 
@@ -263,7 +255,7 @@ def _cmd_props(args):
         report = verify_resolution_propositions(data, sheaf)
         doc[name] = {
             "rows": [
-                {"ell": ell, "dims": _profile_doc(p), "ok": row_ok}
+                {"ell": ell, "dims": dict(p.dims), "ok": row_ok}
                 for ell, p, row_ok in report.rows
             ],
             "verified": report.ok,
@@ -470,9 +462,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+# argparse sets aside an unknown flag ahead of the command but reads its
+# value as the command; this parser sets the command aside and names it.
+_GLOBAL_FLAGS = _Parser(add_help=False)
+_GLOBAL_FLAGS.add_argument("-h", "--help", action="store_true")
+_GLOBAL_FLAGS.add_argument("--format")
+_GLOBAL_FLAGS.add_argument("rest", nargs=argparse.REMAINDER)
+
+
 def run(argv) -> int:
     parser = build_parser()
     try:
+        _, unknown = _GLOBAL_FLAGS.parse_known_args(argv)
+        if unknown:
+            parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0

@@ -37,6 +37,18 @@ class IndexReport:
     shape: Optional[str] = None
 
 
+def _column_index(cols: tuple, n: int, k: int) -> Optional[int]:
+    """Largest j with h_j >= n + j, or None when there is none or another
+    column has j - 1 <= h_j < n + j, h_j != j + k - 1 (k = 0: h_j >= j)."""
+    best = None
+    for j, h in enumerate(cols, start=1):
+        if h >= n + j:
+            best = j
+        elif h >= j - 1 and h != j + k - 1:
+            return None
+    return best
+
+
 def n_index(lam, n: int) -> IndexReport:
     """Largest j whose column has >= n + j boxes, defined only when every
     column has either < j or >= n + j boxes."""
@@ -45,12 +57,7 @@ def n_index(lam, n: int) -> IndexReport:
         raise ValueError(f"need n >= 0, got n={n}")
     if not lam:
         raise ValueError("the empty partition has no index")
-    best = None
-    for j, h in enumerate(transpose(lam), start=1):
-        if h >= n + j:
-            best = j
-        elif h >= j:
-            return IndexReport(False)
+    best = _column_index(transpose(lam), n, 0)
     if best is None:
         return IndexReport(False)
     return IndexReport(True, best, SHAPE_PLAIN)
@@ -68,12 +75,7 @@ def kn_index(lam, k: int, n: int) -> IndexReport:
     if not lam or lam == (1,) * k:
         raise ValueError(f"the index of {lam} is undefined by fiat")
     cols = transpose(lam)
-    best = None
-    for j, h in enumerate(cols, start=1):
-        if h >= n + j:
-            best = j
-        elif h >= j - 1 and h != j + k - 1:
-            return IndexReport(False)
+    best = _column_index(cols, n, k)
     if best is None:
         return IndexReport(False)
     middle = part(cols, best + 1)

@@ -109,12 +109,11 @@ def negate_reverse(w) -> tuple:
     return tuple(-e for e in reversed(w))
 
 
-@lru_cache(maxsize=None)
-def weyl_dim(w: tuple, d: int) -> int:
+def weyl_dim_uncached(w: tuple, d: int) -> int:
     """Dimension of the GL(d) representation with highest weight w.
 
     Computed by the Weyl formula prod_{i<j} (w_i - w_j + j - i) / (j - i),
-    over exact integers with a final integrality check.
+    over exact integers with a final integrality check.  weyl_dim caches it.
     """
     if len(w) != d:
         raise ValueError(f"weight {w} does not have length {d}")
@@ -130,6 +129,9 @@ def weyl_dim(w: tuple, d: int) -> int:
     if r:
         raise ArithmeticError(f"Weyl formula gave a non-integer for {w}")
     return q
+
+
+weyl_dim = lru_cache(maxsize=None)(weyl_dim_uncached)
 
 
 def enumerate_in_box(max_rows: int, max_cols: int, total: int) -> list:

@@ -31,18 +31,16 @@ Every sheaf resolved on one embedding meets the same Cauchy pieces, and
 its twist touches only the G1 side, the G2 side or both.  So the factor
 cohomology is memoized on the EmbeddingData itself, keyed by the twist of
 one side, (functor, ks) over that side's factors of positive degree (the
-identity twist when there are none):
+identity twist when there are none).  It holds two kinds of entry:
 
-* per G1 twist: its quotient weights;
-* per (G1 twist, ell): the term's live pieces, those whose G1 factor is
-  not acyclic, each as lam with its G1 {degree: dim} items;
+* per G1 twist: for every term ell, the live pieces, those whose G1 factor
+  is not acyclic, each as lam with its G1 {degree: dim} items;
 * per (G2 twist, lam): the G2 factor's {degree: dim} items.
 
 Only the Kunneth convolution of the two is done per sheaf.  The memo is
 exact: an entry depends on nothing but the embedding, the side's twist
-and ell or lam, if any, which its scope and key fix, so it is the very
-integer table a sheaf would build for itself, whichever sheaf first asked
-for it.
+and lam, if any, which its scope and key fix, so it is the very integer
+table a sheaf would build for itself, whichever sheaf first asked for it.
 Degree-0 factors are trivial bundles and leave the key, so the structure
 sheaf shares its pieces with every sheaf twisted on the other side only.
 The memo lives on the embedding and is freed with it; it takes no part in
@@ -55,8 +53,8 @@ from typing import Optional
 from .bott import (
     GrassmannianContext,
     HomogeneousBundle,
-    bwb,
     bwb_weight,
+    cohomology_dims,
 )
 from .partitions import (
     binom,
@@ -255,30 +253,13 @@ def _twist(sheaf: TautologicalSheaf, side: str) -> tuple:
     return (sheaf.functor, ks) if ks else _IDENTITY
 
 
-def _g1_quotient_weights(data: EmbeddingData, functor: str,
-                         ks: tuple) -> tuple:
-    """The twist (functor, ks) on the first Grassmannian, as
-    (quotient weight, multiplicity) pairs.  Memoized on the embedding.
-
-    On G1 the twist is the whole quotient weight, turned from dual
-    coordinates to ordinary ones.
-    """
-    key = (G1, functor, ks)
-    quots = data._pieces.get(key)
-    if quots is None:
-        g1_dual = pieri_twist({(): 1}, data.q1, functor, ks)
-        quots = data._pieces[key] = tuple(
-            (negate_reverse(w), m) for w, m in g1_dual.items())
-    return quots
-
-
-def _g2_quotient_weights(data: EmbeddingData, functor: str, ks: tuple,
-                         lam: tuple) -> dict:
-    """The G2 quotient weights of the Cauchy piece lam: the doubled
-    expansion of S_lam(B2* + B2*) twisted by (functor, ks)."""
-    g2_dual = pieri_twist(double_bundle_expand(lam, data.q2), data.q2,
-                          functor, ks)
-    return {negate_reverse(w): m for w, m in g2_dual.items()}
+def _quotient_weights(dual: dict, q: int, functor: str, ks: tuple) -> dict:
+    """The dual-coordinate weights dual of a rank-q quotient twisted by
+    (functor, ks), as {quotient weight: multiplicity} in ordinary
+    coordinates.  On G1 dual is {(): 1}, so the twist is the whole weight;
+    on G2 it is the doubled expansion of S_lam(B2* + B2*)."""
+    twisted = pieri_twist(dual, q, functor, ks)
+    return {negate_reverse(w): m for w, m in twisted.items()}
 
 
 @dataclass(frozen=True)
@@ -293,22 +274,24 @@ class ResolutionTerm:
 def resolution_terms(data: EmbeddingData, sheaf: TautologicalSheaf,
                      ell: int) -> ResolutionTerm:
     """The degree-ell term of the twisted Koszul resolution, split into
-    homogeneous summands over the two Grassmannians."""
+    homogeneous summands over the two Grassmannians.  This is the reference
+    the factored profiles are tested against, so it reads no memo."""
     if not 0 <= ell <= data.rank_e:
         raise ValueError(f"ell={ell} outside 0..{data.rank_e}")
     _validate_sheaf(data, sheaf)
     ctx1, ctx2 = data.ctx1, data.ctx2
     sub_len = data.d1 - data.q1
-    g1_quots = _g1_quotient_weights(data, *_twist(sheaf, G1))
+    g1_quots = _quotient_weights({(): 1}, data.q1, *_twist(sheaf, G1))
     twist2 = _twist(sheaf, G2)
     zeros2 = (0,) * (data.d2 - data.q2)
     acc: dict = {}
     for lam_t, lam in cauchy_wedge(ell, sub_len, 2 * data.q2):
         sub1 = pad(lam_t, sub_len)
         g1_bundles = [
-            (HomogeneousBundle(ctx1, w, sub1), m) for w, m in g1_quots
+            (HomogeneousBundle(ctx1, w, sub1), m) for w, m in g1_quots.items()
         ]
-        for w2, m2 in _g2_quotient_weights(data, *twist2, lam).items():
+        g2_dual = double_bundle_expand(lam, data.q2)
+        for w2, m2 in _quotient_weights(g2_dual, data.q2, *twist2).items():
             b2 = HomogeneousBundle(ctx2, w2, zeros2)
             for b1, m1 in g1_bundles:
                 key = (b1, b2)
@@ -347,16 +330,9 @@ def term_cohomology(term: ResolutionTerm) -> CohomologyProfile:
     single-Grassmannian groups in the sum of the degrees."""
     dims: dict = {}
     for b1, b2, mult in term.summands:
-        r1 = bwb(b1)
-        if r1.vanishes:
-            continue
-        r2 = bwb(b2)
-        if r2.vanishes:
-            continue
-        deg = r1.degree + r2.degree
-        dim = (mult * weyl_dim(r1.gl_weight, b1.ctx.d)
-               * weyl_dim(r2.gl_weight, b2.ctx.d))
-        dims[deg] = dims.get(deg, 0) + dim
+        for i1, n1 in cohomology_dims(b1).items():
+            for i2, n2 in cohomology_dims(b2).items():
+                dims[i1 + i2] = dims.get(i1 + i2, 0) + mult * n1 * n2
     return CohomologyProfile(tuple(sorted(dims.items())))
 
 
@@ -372,21 +348,23 @@ def _factor_dims(d: int, quots, sub: tuple) -> dict:
     return dims
 
 
-def _g1_live_pieces(data: EmbeddingData, functor: str, ks: tuple,
-                    ell: int) -> tuple:
-    """The Cauchy pieces of term ell whose G1 factor, S_{lam^T}(A1) twisted
-    by (functor, ks), is not acyclic, as (lam, G1 {degree: dim} items).
-    Memoized on the embedding."""
-    key = (G1, functor, ks, ell)
+def _g1_live_pieces(data: EmbeddingData, functor: str, ks: tuple) -> tuple:
+    """For each term ell, the Cauchy pieces whose G1 factor, S_{lam^T}(A1)
+    twisted by (functor, ks), is not acyclic, as (lam, G1 {degree: dim}
+    items).  Memoized on the embedding."""
+    key = (G1, functor, ks)
     live = data._pieces.get(key)
     if live is None:
         sub_len = data.d1 - data.q1
-        quots = _g1_quotient_weights(data, functor, ks)
+        quots = _quotient_weights({(): 1}, data.q1, functor, ks).items()
         live = []
-        for lam_t, lam in cauchy_wedge(ell, sub_len, 2 * data.q2):
-            dims1 = _factor_dims(data.d1, quots, pad(lam_t, sub_len))
-            if dims1:
-                live.append((lam, tuple(dims1.items())))
+        for ell in range(data.rank_e + 1):
+            pieces = []
+            for lam_t, lam in cauchy_wedge(ell, sub_len, 2 * data.q2):
+                dims1 = _factor_dims(data.d1, quots, pad(lam_t, sub_len))
+                if dims1:
+                    pieces.append((lam, tuple(dims1.items())))
+            live.append(tuple(pieces))
         live = data._pieces[key] = tuple(live)
     return live
 
@@ -399,7 +377,8 @@ def _g2_piece(data: EmbeddingData, functor: str, ks: tuple,
     dims2 = data._pieces.get(key)
     if dims2 is None:
         zeros2 = (0,) * (data.d2 - data.q2)
-        quots = _g2_quotient_weights(data, functor, ks, lam).items()
+        quots = _quotient_weights(double_bundle_expand(lam, data.q2),
+                                  data.q2, functor, ks).items()
         dims2 = data._pieces[key] = tuple(
             _factor_dims(data.d2, quots, zeros2).items())
     return dims2
@@ -411,17 +390,17 @@ def term_profiles(data: EmbeddingData, sheaf: TautologicalSheaf):
     Each profile equals term_cohomology(resolution_terms(data, sheaf, ell)),
     computed by factored Kunneth (see the module docstring).  The factor
     cohomology of the Cauchy pieces is read from the embedding's memo,
-    filled on first use: the live pieces with their G1 factors per (G1
-    twist, ell), the G2 factor per (G2 twist, lam).  Only their
+    filled on first use: every term's live pieces with their G1 factors
+    per G1 twist, the G2 factor per (G2 twist, lam).  Only their
     convolution is done per sheaf.  Every weight is a padded Cauchy
     transpose, a zero weight or a Pieri output, valid by construction, so
     none is checked here; only the sheaf is, at the entry.
     """
     _validate_sheaf(data, sheaf)
-    twist1, twist2 = _twist(sheaf, G1), _twist(sheaf, G2)
-    for ell in range(data.rank_e + 1):
+    twist2 = _twist(sheaf, G2)
+    for ell, live in enumerate(_g1_live_pieces(data, *_twist(sheaf, G1))):
         dims: dict = {}
-        for lam, dims1 in _g1_live_pieces(data, *twist1, ell):
+        for lam, dims1 in live:
             dims2 = _g2_piece(data, *twist2, lam)
             for i1, n1 in dims1:
                 for i2, n2 in dims2:
@@ -560,9 +539,7 @@ def verify_resolution_propositions(data: EmbeddingData,
     check_proposition_hypotheses(data, sheaf)
     rows = []
     for ell, profile in term_profiles(data, sheaf):
-        if sheaf.functor == "dual":
-            ok = profile.is_zero
-        elif ell >= 1:
+        if sheaf.functor == "dual" or ell >= 1:
             ok = profile.is_zero
         else:
             ok = all(i == 0 for i, _ in profile.dims)

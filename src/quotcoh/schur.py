@@ -45,7 +45,8 @@ lr_expand_tensor pass their natural bounds, len(lam) and
 len(alpha) + len(beta), through the same two functions.  Each doubled
 expansion checks its dimensions when it is built: S_lam(C^2n) splits into
 its rank-n pieces, so their dimensions must add up to dim_2n(lam); a
-mismatch raises ArithmeticError.
+mismatch raises ArithmeticError.  No other step reads these dimensions, so
+they are computed uncached.
 
 The Pieri rules act directly on dominant weights with possibly negative
 entries; this is legitimate because both rules commute with twisting every
@@ -65,7 +66,7 @@ from .partitions import (
     pad,
     size,
     transpose,
-    weyl_dim,
+    weyl_dim_uncached,
 )
 
 
@@ -213,8 +214,9 @@ def _double_bundle_cached(lam, n) -> tuple:
     for _, _, gamma, c in double_bundle_triples(lam, n):
         acc[gamma] = acc.get(gamma, 0) + c
     # S_lam(C^2n) splits into the rank-n pieces, dimensions included.
-    want = weyl_dim(pad(lam, 2 * n), 2 * n)
-    total = sum(c * weyl_dim(pad(gamma, n), n) for gamma, c in acc.items())
+    want = weyl_dim_uncached(pad(lam, 2 * n), 2 * n)
+    total = sum(c * weyl_dim_uncached(pad(gamma, n), n)
+                for gamma, c in acc.items())
     if total != want:
         raise ArithmeticError(f"doubled expansion of {lam} over rank {n} "
                               f"has dimension {total}, not {want}")

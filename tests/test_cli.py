@@ -59,6 +59,18 @@ def test_bwb(capsys):
     assert doc["chi"] == "-1"
 
 
+def test_bwb_document(capsys):
+    # S_(0,-4)(B) on G(5,2): one group, in odd degree, of dimension 5
+    code, doc = run_json(capsys, "bwb", "--d", "5", "--n", "2",
+                         "--quot", "0,-4", "--sub", "0,0,0")
+    assert code == 0
+    assert doc == {"vanishes": False, "degree": "3",
+                   "gl_weight": ["0", "-1", "-1", "-1", "-1"],
+                   "dimension": "5", "chi": "-5", "dims": {"3": "5"}}
+    assert list(doc) == ["vanishes", "degree", "gl_weight", "dimension",
+                         "chi", "dims"]
+
+
 def test_index(capsys):
     code, doc = run_json(capsys, "index", "--lambda", "8,7,4,3,3,1",
                          "--n", "2")
@@ -228,10 +240,11 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2 and "N >= 1" in doc["error"]
     code, out = run_cli(capsys, "nonsense")
     assert code == 2
-    # grids run in one process: there is no --jobs flag
+    # grids run in one process: there is no --jobs flag, and the error
+    # names it rather than reading its value as the command
     code, doc = run_json(capsys, "--jobs", "2", "verify", "prop-3.1", "--d",
                          "6", "--n", "2")
-    assert code == 2 and "error" in doc
+    assert code == 2 and "--jobs" in doc["error"]
     code, doc = run_json(capsys, "index", "--lambda", "2,1", "--n", "-1")
     assert code == 2 and "n >= 0" in doc["error"]
 

@@ -186,12 +186,40 @@ def test_g1_weights_built_once_per_twist(monkeypatch):
     data = embedding_data(2, None, 2, 0, 2)
     for sheaf in (sym_power(2, G1), sym_power(2, G1), wedge_power(1, G1)):
         quot_cohomology(data, sheaf)
-    for ell in (0, 1):
-        resolution_terms(data, sym_power(2, G1), ell)
     # (the G2 factor of the piece lam = () starts from {(): 1} too, under
     # the identity twist)
     assert data.rank_e > 1
     assert sorted(t for t in built if t[1]) == [("sym", (2,)), ("wedge", (1,))]
+
+
+def test_reference_terms_leave_the_memo_empty():
+    # resolution_terms is the reference the memo is checked against, so it
+    # neither reads nor fills it
+    data = embedding_data(2, None, 2, 0, 2)
+    for ell in range(data.rank_e + 1):
+        resolution_terms(data, sym_power(2, G1), ell)
+        resolution_terms(data, dual_wedge_product(((1, G1), (1, G2))), ell)
+    assert data._pieces == {}
+
+
+def test_one_g1_entry_per_twist():
+    # every term's live pieces of one G1 twist share one entry, and no key
+    # names a term
+    data = embedding_data(2, None, 2, 0, 2)
+    sheaves = (sym_power(2, G1), sym_power(2, G1), wedge_power(1, G1),
+               wedge_power(1, G2), dual_wedge_product(((1, G1), (1, G2))),
+               wedge_power(0, G1))
+    for sheaf in sheaves:
+        quot_cohomology(data, sheaf)
+    g1_keys = sorted(key for key in data._pieces if key[0] == G1)
+    assert g1_keys == [(G1, "dual", (1,)), (G1, "sym", (2,)),
+                       (G1, "wedge", ()), (G1, "wedge", (1,))]
+    for key in g1_keys:
+        assert len(data._pieces[key]) == data.rank_e + 1
+    # the other keys are (G2, functor, ks, lam): no key holds an integer
+    assert len(data._pieces) > len(g1_keys)
+    assert all(len(key) == 4 for key in data._pieces if key[0] == G2)
+    assert not any(isinstance(x, int) for key in data._pieces for x in key)
 
 
 def test_warm_embedding_equals_cold():
