@@ -26,15 +26,15 @@ print("\nOne resolution term, split into homogeneous summands:")
 term = resolution_terms(data, wedge_power(1), 1)
 for b1, b2, mult in term.summands:
     print(f"  S_{b1.sub}(A1) box S_{b2.quot}(B2) x {mult}")
-print(f"  cohomology of the term: {term_cohomology(term).as_dict()}")
+print(f"  cohomology of the term: {dict(term_cohomology(term).dims)}")
 
 print("\nGlobal sections of wedge and Sym powers match the section space:")
 for k in (1, 2):
     rep = verify_theorem(data, "A", (k,))
-    print(f"  wedge^{k}: H^* = {rep.computed.dims_dict()}, "
+    print(f"  wedge^{k}: H^* = {dict(rep.computed.dims)}, "
           f"expected h^0 = {rep.expected_h0}, verified = {rep.verified}")
 rep = verify_theorem(data, "B", (2,))
-print(f"  Sym^2:   H^* = {rep.computed.dims_dict()}, "
+print(f"  Sym^2:   H^* = {dict(rep.computed.dims)}, "
       f"expected h^0 = {rep.expected_h0}, verified = {rep.verified}")
 
 print("\nDualized exterior powers carry no cohomology at all:")

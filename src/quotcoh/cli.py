@@ -24,10 +24,12 @@ from .bott import (
     HomogeneousBundle,
     bwb,
     cohomology_dims,
+    euler_char,
 )
 from .quot import (
     G1,
     G2,
+    TautologicalSheaf,
     check_conjecture,
     check_proposition_hypotheses,
     dual_wedge_product,
@@ -65,16 +67,12 @@ def _parse_ints(text: str) -> tuple:
 
 
 def _parse_factors(args) -> tuple:
-    """The degrees of --ks and their sides from --sides (default all G2)."""
+    """The degrees of --ks and their sides from --sides (default all G2),
+    upper-cased; the sheaf checks that they are valid and pair up."""
     ks = _parse_ints(args.ks)
     if not args.sides:
         return ks, (G2,) * len(ks)
-    sides = tuple(s.strip().upper() for s in args.sides.split(","))
-    if any(s not in (G1, G2) for s in sides):
-        raise ValueError("sides must be G1 or G2")
-    if len(sides) != len(ks):
-        raise ValueError("need one side per degree")
-    return ks, sides
+    return ks, tuple(s.strip().upper() for s in args.sides.split(","))
 
 
 def _stringify(obj):
@@ -138,10 +136,9 @@ def _sheaf_from_args(args):
     kind = f"--functor {args.functor}"
     if args.functor == "dual":
         _functor_flags(args, kind, ("ks",), ("k",))
-        return dual_wedge_product(zip(*_parse_factors(args)))
+        return TautologicalSheaf("dual", *_parse_factors(args))
     _functor_flags(args, kind, ("k",), ("ks", "sides"))
-    power = wedge_power if args.functor == "wedge" else sym_power
-    return power(args.k, args.side)
+    return TautologicalSheaf(args.functor, (args.k,), (args.side,))
 
 
 def _add_embedding_flags(p):
@@ -185,7 +182,7 @@ def _cmd_bwb(args):
         doc["degree"] = res.degree
         doc["gl_weight"] = res.gl_weight
         doc["dimension"] = dims[res.degree]
-    doc["chi"] = sum((-1) ** i * v for i, v in dims.items())
+    doc["chi"] = euler_char(bundle)
     doc["dims"] = dims
     return doc, True
 
@@ -306,8 +303,8 @@ def _cmd_prop_32(args):
 
 def _cmd_prop_33(args):
     d, n, r, plus = args.d, args.n, args.r, args.mode == "plus"
-    if plus and r < 1:
-        raise ValueError("plus mode needs r >= 1")
+    if r < plus:
+        raise ValueError(f"{args.mode} mode needs r >= {int(plus)}")
     # plus mode runs the k-variant index for each k, which takes one degree;
     # a failure lists the chained degrees, then k
     cases = [((d, n, r, lam, ks, args.mode, k), ks + ((k,) if plus else ()))

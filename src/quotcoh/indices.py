@@ -126,9 +126,19 @@ def _certify(d, n, lam, index, kind, functor, ks) -> VanishingRecord:
                            all(c.ok for c in checks))
 
 
-def _require_box(lam, rows: int, cols: int):
+def _indexed(d: int, n: int, r: int, lam, mode: Optional[str] = None,
+             k: Optional[int] = None) -> tuple:
+    """The prologue every certificate shares: lam as a partition that fits
+    the (2n) x (d-n-r-1) box, with its index (the k-variant in plus mode)."""
+    lam = as_partition(lam)
+    rows, cols = 2 * n, d - n - r - 1
     if len(lam) > rows or (lam and lam[0] > cols):
         raise ValueError(f"{lam} does not fit in a {rows} x {cols} box")
+    rep = kn_index(lam, k, n) if mode == "plus" else n_index(lam, n)
+    if not rep.defined:
+        where = "" if mode is None else f" in mode {mode}"
+        raise ValueError(f"{lam} has no index for n={n}{where}")
+    return lam, rep.index
 
 
 def verify_wedge_vanishing(d: int, n: int, lam, k: int) -> VanishingRecord:
@@ -139,14 +149,10 @@ def verify_wedge_vanishing(d: int, n: int, lam, k: int) -> VanishingRecord:
     index; every summand is checked against the window [i, d-n+i-1] at row i
     and against Borel-Weil-Bott directly.
     """
-    lam = as_partition(lam)
-    _require_box(lam, 2 * n, d - n - 1)
-    rep = n_index(lam, n)
-    if not rep.defined:
-        raise ValueError(f"{lam} has no index for n={n}")
+    lam, index = _indexed(d, n, 0, lam)
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
-    return _certify(d, n, lam, rep.index, "wedge", "wedge", (k,))
+    return _certify(d, n, lam, index, "wedge", "wedge", (k,))
 
 
 def verify_sym_vanishing(d: int, n: int, lam, k: int) -> VanishingRecord:
@@ -155,16 +161,12 @@ def verify_sym_vanishing(d: int, n: int, lam, k: int) -> VanishingRecord:
     The statement splits: any k when the index is below n, while index n
     requires k <= n and anything larger is out of scope.
     """
-    lam = as_partition(lam)
-    _require_box(lam, 2 * n, d - n - 1)
-    rep = n_index(lam, n)
-    if not rep.defined:
-        raise ValueError(f"{lam} has no index for n={n}")
+    lam, index = _indexed(d, n, 0, lam)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if rep.index == n and k > n:
+    if index == n and k > n:
         raise ValueError(f"index n={n} only covers k <= n, got k={k}")
-    return _certify(d, n, lam, rep.index, "sym", "sym", (k,))
+    return _certify(d, n, lam, index, "sym", "sym", (k,))
 
 
 def verify_dual_vanishing(d: int, n: int, r: int, lam, ks,
@@ -177,27 +179,19 @@ def verify_dual_vanishing(d: int, n: int, r: int, lam, ks,
     index and only r - 1 degrees are chained; the remaining wedge factor
     lives on the other Grassmannian and enters through the index of lam.
     """
-    lam = as_partition(lam)
     ks = tuple(int(x) for x in ks)
     if any(x < 0 for x in ks):
         raise ValueError("dual wedge degrees must be nonnegative")
-    _require_box(lam, 2 * n, d - n - r - 1)
-    if mode == "plain":
-        if len(ks) != r:
-            raise ValueError(f"plain mode expects {r} degrees, got {len(ks)}")
-        rep = n_index(lam, n)
-    elif mode == "plus":
-        if k is None:
-            raise ValueError("plus mode needs the wedge parameter k")
-        if len(ks) != r - 1:
-            raise ValueError(
-                f"plus mode expects {r - 1} degrees, got {len(ks)}")
-        rep = kn_index(lam, k, n)
-    else:
+    if mode not in ("plain", "plus"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not rep.defined:
-        raise ValueError(f"{lam} has no index for n={n} in mode {mode}")
-    return _certify(d, n, lam, rep.index, f"dual-{mode}", "dual", ks)
+    if mode == "plus" and k is None:
+        raise ValueError("plus mode needs the wedge parameter k")
+    chained = r - (mode == "plus")
+    if len(ks) != chained:
+        raise ValueError(
+            f"{mode} mode expects {chained} degrees, got {len(ks)}")
+    lam, index = _indexed(d, n, r, lam, mode, k)
+    return _certify(d, n, lam, index, f"dual-{mode}", "dual", ks)
 
 
 def indexed_partitions(d: int, n: int, r: int = 0,

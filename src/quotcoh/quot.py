@@ -310,9 +310,6 @@ class CohomologyProfile:
 
     dims: tuple  # of (degree, dimension), increasing degrees
 
-    def as_dict(self) -> dict:
-        return dict(self.dims)
-
     @property
     def chi(self) -> int:
         return sum((-1) ** i * d for i, d in self.dims)
@@ -320,9 +317,6 @@ class CohomologyProfile:
     @property
     def is_zero(self) -> bool:
         return not self.dims
-
-    def degree_range_ok(self, max_degree: int) -> bool:
-        return all(0 <= i <= max_degree for i, _ in self.dims)
 
 
 def term_cohomology(term: ResolutionTerm) -> CohomologyProfile:
@@ -423,9 +417,6 @@ class QuotCohomology:
     dims: Optional[tuple]
     per_term: tuple  # of (ell, CohomologyProfile)
 
-    def dims_dict(self) -> Optional[dict]:
-        return None if self.dims is None else dict(self.dims)
-
 
 def quot_cohomology(data: EmbeddingData,
                     sheaf: TautologicalSheaf) -> QuotCohomology:
@@ -467,41 +458,39 @@ def _check_theorem_c(data: EmbeddingData, ks: tuple, sides: tuple):
         raise ValueError("need deg M = m >= n")
 
 
+_THEOREM_FUNCTORS = {"A": "wedge", "B": "sym", "C": "dual"}
+
+
 def verify_theorem(data: EmbeddingData, which: str, ks, sides=None) -> TheoremReport:
     """Check one of the three global-sections statements on given data.
 
     which = "A": sections of an exterior power are the exterior power of the
     twist's section space and higher cohomology vanishes; "B": the same for
-    symmetric powers with k <= n; "C": a product of dualized exterior powers,
-    not all trivial, has no cohomology at all.
+    symmetric powers; "C": a product of dualized exterior powers, not all
+    trivial, has no cohomology at all.  The theorems hold under the
+    hypotheses of the per-term propositions (check_proposition_hypotheses:
+    r = 0, exterior degrees at most the quotient rank, deg L >= n >= k for
+    B, Theorem C's factor rules); A also needs deg L >= n.  sides defaults
+    to all G2.
     """
-    ks = tuple(int(k) for k in ks)
-    if sides is None:
-        sides = (G2,) * len(ks)
-    sides = tuple(sides)
-    if data.r != 0:
-        raise ValueError("the theorems concern finite quotients (r = 0)")
-    if which in ("A", "B"):
-        (k,), (side,) = ks, sides
-        deg_l = data.twist_degree(side)
-        if deg_l < data.n:
-            raise ValueError(f"need deg L >= n, got deg L = {deg_l}")
-        if not 0 <= k <= data.n:
-            raise ValueError(f"need 0 <= k <= n, got k={k}")
-        sheaf = (wedge_power if which == "A" else sym_power)(k, side)
-        expected = power_rank(sheaf.functor, data.section_dim(side), k)
-        computed = quot_cohomology(data, sheaf)
-        want = ((0, expected),) if expected else ()
-        verified = computed.degenerate and computed.dims == want
-    elif which == "C":
-        _check_theorem_c(data, ks, sides)
-        sheaf = dual_wedge_product(tuple(zip(ks, sides)))
-        expected = 0
-        computed = quot_cohomology(data, sheaf)
-        verified = all(p.is_zero for _, p in computed.per_term)
-    else:
+    if which not in _THEOREM_FUNCTORS:
         raise ValueError(f"unknown theorem {which!r}")
-    return TheoremReport(which, sheaf, expected, computed, verified)
+    ks = tuple(ks)
+    sheaf = TautologicalSheaf(_THEOREM_FUNCTORS[which], ks,
+                              (G2,) * len(ks) if sides is None else sides)
+    check_proposition_hypotheses(data, sheaf)
+    expected = 0
+    if which != "C":
+        (k,), (side,) = sheaf.ks, sheaf.sides
+        deg_l = data.twist_degree(side)
+        if which == "A" and deg_l < data.n:
+            raise ValueError(f"need deg L >= n, got deg L = {deg_l}")
+        expected = power_rank(sheaf.functor, data.section_dim(side), k)
+    computed = quot_cohomology(data, sheaf)
+    # dims is None unless the resolution degenerates, so this is exact.
+    want = ((0, expected),) if expected else ()
+    return TheoremReport(which, sheaf, expected, computed,
+                         computed.dims == want)
 
 
 @dataclass(frozen=True)
@@ -578,34 +567,32 @@ def check_conjecture(data: EmbeddingData, which: str, ks, deg_ls) -> ConjectureR
     """
     if data.r < 1:
         raise ValueError("the conjectures concern positive quotient rank")
-    ks = tuple(int(k) for k in ks)
+    if which not in ("wedge", "sym", "dual"):
+        raise ValueError(f"unknown conjecture {which!r}")
+    ks = tuple(ks)
     deg_ls = tuple(int(d) for d in deg_ls)
     if len(ks) != len(deg_ls):
         raise ValueError("each degree k needs a line bundle degree")
-    sides = tuple(_side_for_degree(data, d) for d in deg_ls)
-    if which in ("wedge", "sym"):
-        if len(ks) != 1:
-            raise ValueError("wedge and sym take a single degree")
-        a = data.n // (data.N - data.r)
-        bound = data.n + data.r * (a + 1)
-        if not 0 <= ks[0] <= bound:
-            raise ValueError(f"k={ks[0]} exceeds the stated bound {bound}")
-        sheaf = TautologicalSheaf(which, ks, sides)
-        predicted = power_rank(which, data.section_dim(sides[0]), ks[0])
-    elif which == "dual":
+    sheaf = TautologicalSheaf(which, ks, tuple(_side_for_degree(data, d)
+                                               for d in deg_ls))
+    ks = sheaf.ks
+    if which == "dual":
         if not 1 <= len(ks) <= data.N - data.r - 1:
             raise ValueError(
                 f"need between 1 and N-r-1={data.N - data.r - 1} factors")
         a = data.n // data.r
         bound = data.n + (data.N - data.r) * (a + 1)
-        total = sum(ks)
-        if not 0 < total <= bound:
-            raise ValueError(
-                f"total degree {total} outside the stated range 1..{bound}")
-        sheaf = dual_wedge_product(tuple(zip(ks, sides)))
+        if not 0 < sum(ks) <= bound:
+            raise ValueError(f"total degree {sum(ks)} outside the stated "
+                             f"range 1..{bound}")
         predicted = 0
     else:
-        raise ValueError(f"unknown conjecture {which!r}")
+        a = data.n // (data.N - data.r)
+        bound = data.n + data.r * (a + 1)
+        if ks[0] > bound:
+            raise ValueError(f"k={ks[0]} exceeds the stated bound {bound}")
+        predicted = power_rank(which, data.section_dim(sheaf.sides[0]),
+                               ks[0])
     computed = quot_cohomology(data, sheaf).chi
     return ConjectureReport(which, ks, deg_ls, predicted, computed,
                             bound, predicted == computed)

@@ -322,8 +322,8 @@ def pieri_twist(weights: dict, n: int, functor: str, ks) -> dict:
     F is the exterior power ("wedge"), the symmetric power ("sym") or the
     exterior power of the dual ("dual").  weights maps dual-coordinate
     weights of at most n entries to multiplicities; the result maps weights
-    padded to n entries, still in dual coordinates.  wedge^k B is
-    wedge^(n-k) B* twisted by det B, hence the shift by -1.
+    padded to n entries, still in dual coordinates.  B is the dual of B*,
+    so wedge^k B lowers k entries by 1, and wedge^k B* raises k entries.
     """
     if functor not in ("wedge", "sym", "dual"):
         raise ValueError(f"unknown functor {functor!r}")
@@ -333,13 +333,10 @@ def pieri_twist(weights: dict, n: int, functor: str, ks) -> dict:
     for k in ks:
         step: dict = {}
         for w, mult in acc.items():
-            if functor == "wedge":
-                summands = [tuple(e - 1 for e in v)
-                            for v in _pieri_wedge_cached(w, n - k, False)]
-            elif functor == "sym":
+            if functor == "sym":
                 summands = _pieri_sym_cached(w, k, True)
             else:
-                summands = _pieri_wedge_cached(w, k, False)
+                summands = _pieri_wedge_cached(w, k, functor == "wedge")
             for v in summands:
                 step[v] = step.get(v, 0) + mult
         acc = step

@@ -18,12 +18,10 @@ from dataclasses import dataclass
 
 from .quot import (
     G2,
-    dual_wedge_product,
+    TautologicalSheaf,
     embedding_data,
     power_rank,
     quot_cohomology,
-    sym_power,
-    wedge_power,
 )
 
 
@@ -64,23 +62,13 @@ def resolution_series(kind: str, N: int, deg_l: int, n_max: int,
     for n in range(n_max + 1):
         data = embedding_data(N, splitting, n, 0, deg_l)
         for k in range(n + 1):
-            if kind == "wedge":
-                sheaf = wedge_power(k, G2)
-            elif kind == "sym":
-                sheaf = sym_power(k, G2)
-            else:
-                sheaf = dual_wedge_product(((k, G2),))
+            sheaf = TautologicalSheaf(kind, (k,), (G2,))
             table[n][k] = quot_cohomology(data, sheaf).chi
     return table
 
 
 @dataclass(frozen=True)
 class SeriesComparison:
-    kind: str
-    N: int
-    deg_l: int
-    n_max: int
-    window: tuple  # of (n, k) pairs compared
     mismatches: tuple  # of (n, k, resolution value, closed form value)
     resolution: list  # resolution_series table
     closed: list  # closed_form table
@@ -98,8 +86,7 @@ def compare(kind: str, N: int, deg_l: int, n_max: int,
     # count of the twisted bundle, which does not depend on n.
     sections = embedding_data(N, splitting, 0, 0, deg_l).section_dim(G2)
     reference = closed_form(kind, sections, n_max)
-    window = tuple((n, k) for n in range(n_max + 1) for k in range(n + 1))
     mismatches = tuple((n, k, computed[n][k], reference[n][k])
-                       for n, k in window if computed[n][k] != reference[n][k])
-    return SeriesComparison(kind, N, deg_l, n_max, window, mismatches,
-                            computed, reference)
+                       for n in range(n_max + 1) for k in range(n + 1)
+                       if computed[n][k] != reference[n][k])
+    return SeriesComparison(mismatches, computed, reference)

@@ -40,9 +40,9 @@ def test_criterion_01_exterior_powers():
                     rep = verify_theorem(data, "A", (k,))
                     assert rep.verified, (N, n, m, k)
                     assert rep.computed.degenerate
-                    assert rep.computed.dims_dict().get(0, 0) == \
+                    assert dict(rep.computed.dims).get(0, 0) == \
                         math.comb(N * (m + 1), k)
-                    assert all(i == 0 for i in rep.computed.dims_dict())
+                    assert all(i == 0 for i, _ in rep.computed.dims)
                     cases += 1
     _report("criterion 1 (exterior powers)",
             f"{cases} cases in {time.time() - start:.1f}s")
@@ -58,7 +58,7 @@ def test_criterion_02_symmetric_powers():
                 for k in range(n + 1):
                     rep = verify_theorem(data, "B", (k,))
                     assert rep.verified, (N, n, m, k)
-                    assert rep.computed.dims_dict().get(0, 0) == \
+                    assert dict(rep.computed.dims).get(0, 0) == \
                         math.comb(N * (m + 1) + k - 1, k)
                     cases += 1
     _report("criterion 2 (symmetric powers)",

@@ -279,6 +279,9 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2 and "--k" in doc["error"]
     code, doc = run_json(capsys, "verify", "prop-3.3", "--d", "7", "--n", "2")
     assert code == 2 and "--r" in doc["error"]
+    code, doc = run_json(capsys, "verify", "prop-3.3", "--d", "7", "--n", "2",
+                         "--r", "-1", "--mode", "plain")
+    assert code == 2 and "plain mode needs r >= 0" in doc["error"]
     code, doc = run_json(capsys, "verify", "prop-3.1", "--n", "2")
     assert code == 2 and "--d" in doc["error"]
     # props holds its dualized product to Theorem C's hypotheses
@@ -303,6 +306,44 @@ def test_invalid_inputs_exit_2(capsys):
     code, doc = run_json(capsys, "verify", "theorem-c", "--N", "3", "--n",
                          "1", "--m", "1", "--ks", "1", "--side", "G1")
     assert code == 2 and "--side" in doc["error"]
+
+
+def test_error_documents(capsys):
+    # the exact document of invalid inputs whose check lives in the sheaf,
+    # in the proposition hypotheses or in the grid's mode bound
+    for cmd, error in (
+            ("verify theorem-a --N 2 --n 2 --m 2 --k 3",
+             "k=3 exceeds the rank 2 of the side-G2 quotient"),
+            ("verify theorem-a --N 2 --n 2 --m 2 --k -1",
+             "degrees must be nonnegative"),
+            ("verify theorem-a --N 2 --n 2 --r 1 --m 2 --k 1",
+             "per-term certification is stated for r = 0"),
+            ("verify theorem-b --N 2 --n 2 --m 2 --k 3",
+             "symmetric case needs deg L >= n >= k"),
+            ("verify theorem-b --N 2 --n 2 --m 2 --k 1 --side G1",
+             "symmetric case needs deg L >= n >= k"),
+            ("verify theorem-b --N 2 --n 2 --m 2 --k -1",
+             "degrees must be nonnegative"),
+            ("verify theorem-c --N 3 --n 1 --r 1 --m 1 --ks 1",
+             "per-term certification is stated for r = 0"),
+            ("verify theorem-c --N 3 --n 1 --m 1 --ks 1,1 --sides G1",
+             "each degree needs a side"),
+            ("verify theorem-c --N 3 --n 1 --m 1 --ks 1 --sides G1,G2",
+             "each degree needs a side"),
+            ("chi --N 2 --n 1 --m 1 --functor dual --ks 1,1 --sides G2",
+             "each degree needs a side"),
+            ("conjecture wedge --N 2 --n 2 --r 1 --m 3 --k -1 --degL 3",
+             "degrees must be nonnegative"),
+            ("conjecture sym --N 2 --n 2 --r 1 --m 3 --k -1 --degL 3",
+             "degrees must be nonnegative"),
+            ("conjecture dual --N 3 --n 1 --r 1 --m 1 --ks -1 --degLs 1",
+             "degrees must be nonnegative"),
+            ("verify prop-3.3 --d 7 --n 2 --r -1 --mode plain",
+             "plain mode needs r >= 0"),
+            ("verify prop-3.3 --d 7 --n 2 --r 0 --mode plus",
+             "plus mode needs r >= 1")):
+        code, out = run_cli(capsys, *cmd.split())
+        assert (code, out) == (2, json.dumps({"error": error}) + "\n"), cmd
 
 
 def test_props_checks_every_sheaf_before_resolving(capsys):

@@ -131,6 +131,21 @@ def test_verify_dual_examples():
         verify_dual_vanishing(7, 2, 1, (1, 1, 1), (1,), "plus")  # needs k
 
 
+def test_certificates_reject_partitions_one_past_the_box():
+    # d = 6, n = 2, r = 0 (and d = 7, r = 1) give a 4 x 3 box; each
+    # partition below carries an index, so only the box can reject it
+    wide, tall = (4, 2, 2, 2), (1, 1, 1, 1, 1)
+    for lam in (wide, tall):
+        assert n_index(lam, 2).defined and kn_index(lam, 1, 2).defined
+        for verify, args in (
+                (verify_wedge_vanishing, (6, 2, lam, 1)),
+                (verify_sym_vanishing, (6, 2, lam, 1)),
+                (verify_dual_vanishing, (7, 2, 1, lam, (1,))),
+                (verify_dual_vanishing, (7, 2, 1, lam, (), "plus", 1))):
+            with pytest.raises(ValueError, match="fit in a 4 x 3 box"):
+                verify(*args)
+
+
 def test_verify_grids_small():
     # one complete parameter point of each proposition-style grid
     d, n = 5, 2

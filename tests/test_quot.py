@@ -249,7 +249,7 @@ def test_profile_degrees_within_ambient_dimension():
     for sheaf in (wedge_power(2), dual_wedge_product(((1, G1), (1, G2)))):
         res = quot_cohomology(data, sheaf)
         for _, profile in res.per_term:
-            assert profile.degree_range_ok(ambient)
+            assert all(0 <= i <= ambient for i, _ in profile.dims)
             assert all(v > 0 for _, v in profile.dims)
 
 
@@ -300,6 +300,12 @@ def test_verify_theorem_parameter_errors():
         verify_theorem(data, "C", (1, 1))  # more than N - 1 factors
     with pytest.raises(ValueError):
         verify_theorem(embedding_data(2, None, 1, 1, 1), "A", (1,))
+    # a degree without a side, or a side without a degree, is an error, not
+    # a smaller sheaf
+    data = embedding_data(3, None, 1, 0, 1)
+    for ks, sides in (((1, 1), (G1,)), ((1,), (G1, G2))):
+        with pytest.raises(ValueError, match="each degree needs a side"):
+            verify_theorem(data, "C", ks, sides)
 
 
 def test_verify_theorem_c_both_placements():
@@ -371,6 +377,8 @@ def test_conjecture_parameter_errors():
         check_conjecture(data, "wedge", (1,), (1,))
     with pytest.raises(ValueError, match="bound"):
         check_conjecture(data, "wedge", (6,), (3,))
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_conjecture(data, "wedge", (-1,), (3,))
     with pytest.raises(ValueError):
         check_conjecture(embedding_data(2, None, 2, 0, 2), "wedge", (1,), (2,))
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -359,7 +360,16 @@ def test_pieri_twist_ranks():
 
 
 def test_pieri_twist_wedge_is_shifted_complement():
-    # wedge^k B = wedge^(n-k) B* . det B in dual coordinates
+    # wedge^k B = wedge^(n-k) B* . det B in dual coordinates: raising n - k
+    # entries and shifting every entry by -1 gives the same weights in the
+    # same order
+    for n in range(5):
+        for w in combinations_with_replacement(range(2, -3, -1), n):
+            for k in range(n + 1):
+                want = [(tuple(e - 1 for e in v), 1)
+                        for v in pieri_wedge(w, n - k)]
+                assert list(pieri_twist({w: 1}, n, "wedge", (k,)).items()) \
+                    == want, (w, k)
     assert pieri_twist({(): 1}, 3, "wedge", (1,)) == {(0, 0, -1): 1}
     assert pieri_twist({(1,): 1}, 2, "dual", (1,)) == {(2, 0): 1, (1, 1): 1}
     with pytest.raises(ValueError):

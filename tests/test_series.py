@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from quotcoh import series
 from quotcoh.series import closed_form, compare, resolution_series
 
 
@@ -39,8 +40,23 @@ def test_compare_small_grids():
     for kind in ("wedge", "sym", "dual"):
         comparison = compare(kind, 2, 2, 2)
         assert comparison.equal, comparison.mismatches
-        assert comparison.window == ((0, 0), (1, 0), (1, 1),
-                                     (2, 0), (2, 1), (2, 2))
+
+
+def test_compare_reads_only_the_window(monkeypatch):
+    # one wrong entry planted inside k <= n is reported, one outside it is
+    # not
+    real = series.resolution_series
+
+    def planted(*args):
+        table = real(*args)
+        table[2][1] += 1
+        table[1][2] = 99
+        return table
+
+    monkeypatch.setattr(series, "resolution_series", planted)
+    comparison = compare("wedge", 2, 2, 2)
+    assert comparison.mismatches == ((2, 1, 7, 6),)
+    assert comparison.resolution[1][2] == 99 and not comparison.equal
 
 
 def test_compare_single_summand():
