@@ -191,7 +191,3 @@ def line_bundle_p1(t: int) -> HomogeneousBundle:
         return HomogeneousBundle(ctx, (t,), (0,))
     return HomogeneousBundle(ctx, (0,), (-t,))
 
-
-def structure_sheaf(ctx: GrassmannianContext) -> HomogeneousBundle:
-    return HomogeneousBundle(ctx, (0,) * ctx.n, (0,) * ctx.sub_rank)
-

@@ -27,6 +27,32 @@ only summands whose contribution is zero.  resolution_terms still lists
 every summand of a term, and term_cohomology of that list is the reference
 the factored profiles are tested against.
 
+A G2 factor whose every weight is acyclic is decided from lam alone, before
+its doubled expansion, Pieri twist and Borel-Weil-Bott are built
+(_g2_acyclic).  On G(d2, q2) with width = d2 - q2, S_w(B2*) with w in dual
+coordinates (q2 entries) has cohomology only if every row j escapes the
+window j <= w_j <= width + j - 1 (bott._window_row at k = 0).  Since w_j - j
+strictly decreases, the escaping rows are a prefix 1..p with
+w_j >= w_p >= width + p, then a suffix with w_j <= w_{p+1} <= p.  A weight
+w of the factor comes from some gamma with
+c^lam_{alpha,beta} c^gamma_{alpha,beta} != 0, so alpha and beta lie inside
+lam, and Weyl's inequality gamma_{i+k-1} <= alpha_i + beta_k (Fulton,
+Bull. AMS 37, 2000) with |gamma| = |lam| gives
+
+    gamma_j <= min(|lam| // j, lam_i + lam_{j+1-i} for 1 <= i <= j),
+
+taken weakly decreasing in j.  The Pieri twist then moves each entry by a
+bounded amount: wedge^k B lowers it by at most 1 per factor, the symmetric
+power by at most sum(ks) in all, and wedge^k B2* raises it by at most 1 per
+factor; so -down <= w_j <= gamma_j + up.  The size is exact:
+|w| = |lam| - sum(ks) for wedge and sym, |lam| + sum(ks) for dual.  If for
+no p the rows can meet their ranges and the sum of the row minima
+<= |w| <= the sum of the row maxima, no weight of the factor escapes, and
+its cohomology is zero.  This is exact too: it uses only containment,
+Weyl's inequality, sizes, row counts and Pieri shifts, never the index
+propositions that verify checks, and skips only factors whose
+contribution is zero.
+
 Every sheaf resolved on one embedding meets the same Cauchy pieces, and
 its twist touches only the G1 side, the G2 side or both.  So the factor
 cohomology is memoized on the EmbeddingData itself, keyed by the twist of
@@ -60,6 +86,7 @@ from .partitions import (
     binom,
     negate_reverse,
     pad,
+    part,
     weyl_dim,
 )
 from .schur import cauchy_wedge, double_bundle_expand, pieri_twist
@@ -363,18 +390,54 @@ def _g1_live_pieces(data: EmbeddingData, functor: str, ks: tuple) -> tuple:
     return live
 
 
+def _g2_acyclic(lam: tuple, q: int, width: int, functor: str,
+                ks: tuple) -> bool:
+    """True when S_lam(B* + B*) twisted by (functor, ks) is acyclic on the
+    Grassmannian of rank-q quotients of (q + width)-dimensional space, read
+    off lam without expanding it.  False means only that the bounds admit a
+    weight with cohomology (see the module docstring)."""
+    boxes = sum(lam)
+    if functor == "dual":
+        down, up, total = 0, len(ks), boxes + sum(ks)
+    else:
+        down = len(ks) if functor == "wedge" else sum(ks)
+        up, total = 0, boxes - sum(ks)
+    # caps[j - 1] bounds w_j: gamma_j by Weyl's inequality with alpha and
+    # beta inside lam, and by the size of gamma, kept weakly decreasing;
+    # then the Pieri twist's rise.
+    caps, cap = [], boxes
+    for j in range(1, q + 1):
+        cap = min([cap, boxes // j]
+                  + [part(lam, i) + part(lam, j + 1 - i)
+                     for i in range(1, j + 1)])
+        caps.append(cap + up)
+    # p rows above the window, each at least width + p, and q - p rows
+    # below it, each at most p and at least -down.
+    for p in range(q + 1):
+        if p and caps[p - 1] < width + p:
+            break
+        low = p * (width + p) - (q - p) * down
+        high = sum(caps[:p]) + sum(min(p, c) for c in caps[p:])
+        if low <= total <= high:
+            return False
+    return True
+
+
 def _g2_piece(data: EmbeddingData, functor: str, ks: tuple,
               lam: tuple) -> tuple:
     """The G2 factor of the Cauchy piece lam twisted by (functor, ks), as
-    {degree: dim} items.  Memoized on the embedding."""
+    {degree: dim} items; () without expanding lam when _g2_acyclic rules
+    it out.  Memoized on the embedding."""
     key = (G2, functor, ks, lam)
     dims2 = data._pieces.get(key)
     if dims2 is None:
-        zeros2 = (0,) * (data.d2 - data.q2)
-        quots = _quotient_weights(double_bundle_expand(lam, data.q2),
-                                  data.q2, functor, ks).items()
-        dims2 = data._pieces[key] = tuple(
-            _factor_dims(data.d2, quots, zeros2).items())
+        dims2 = ()
+        if not _g2_acyclic(lam, data.q2, data.d2 - data.q2, functor, ks):
+            zeros2 = (0,) * (data.d2 - data.q2)
+            quots = _quotient_weights(double_bundle_expand(lam, data.q2),
+                                      data.q2, functor, ks).items()
+            dims2 = tuple(_factor_dims(data.d2, quots, zeros2).items())
+        data._pieces[key] = dims2
     return dims2
 
 
@@ -510,9 +573,10 @@ def check_proposition_hypotheses(data: EmbeddingData,
         raise ValueError("per-term certification is stated for r = 0")
     _validate_sheaf(data, sheaf)
     if sheaf.functor == "sym":
-        k, side = sheaf.ks[0], sheaf.sides[0]
-        if not data.twist_degree(side) >= data.n >= k:
-            raise ValueError("symmetric case needs deg L >= n >= k")
+        k, deg_l = sheaf.ks[0], data.twist_degree(sheaf.sides[0])
+        if not deg_l >= data.n >= k:
+            raise ValueError(f"symmetric case needs deg L >= n >= k, got "
+                             f"deg L = {deg_l}, n = {data.n}, k = {k}")
     elif sheaf.functor == "dual":
         _check_theorem_c(data, sheaf.ks, sheaf.sides)
 

@@ -8,7 +8,6 @@ from quotcoh.bott import (
     euler_char,
     line_bundle_p1,
     quot_dual_bundle,
-    structure_sheaf,
     sub_bundle,
     vanishes_plus_condition,
     vanishes_quot_dual_condition,
@@ -20,6 +19,10 @@ from quotcoh.partitions import (
     pad,
     weyl_dim,
 )
+
+
+def structure_sheaf(ctx: GrassmannianContext) -> HomogeneousBundle:
+    return HomogeneousBundle(ctx, (0,) * ctx.n, (0,) * ctx.sub_rank)
 
 
 def test_context_validation():

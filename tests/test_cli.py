@@ -319,9 +319,11 @@ def test_error_documents(capsys):
             ("verify theorem-a --N 2 --n 2 --r 1 --m 2 --k 1",
              "per-term certification is stated for r = 0"),
             ("verify theorem-b --N 2 --n 2 --m 2 --k 3",
-             "symmetric case needs deg L >= n >= k"),
+             "symmetric case needs deg L >= n >= k, got deg L = 2, n = 2, "
+             "k = 3"),
             ("verify theorem-b --N 2 --n 2 --m 2 --k 1 --side G1",
-             "symmetric case needs deg L >= n >= k"),
+             "symmetric case needs deg L >= n >= k, got deg L = 1, n = 2, "
+             "k = 1"),
             ("verify theorem-b --N 2 --n 2 --m 2 --k -1",
              "degrees must be nonnegative"),
             ("verify theorem-c --N 3 --n 1 --r 1 --m 1 --ks 1",

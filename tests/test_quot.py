@@ -150,6 +150,41 @@ def test_factored_profiles_match_explicit_summands():
     assert live >= 700  # the comparison is not between empty profiles
 
 
+def _g2_twists(q):
+    """The identity, every wedge and dual power of a rank-q bundle and
+    every product of two dual ones, and sym^1..3."""
+    yield "wedge", ()
+    for k in range(1, q + 1):
+        yield "wedge", (k,)
+        yield "dual", (k,)
+        for k2 in range(k, q + 1):
+            yield "dual", (k, k2)
+    for k in range(1, 4):
+        yield "sym", (k,)
+
+
+def test_g2_bound_skips_only_acyclic_factors():
+    # _g2_acyclic against the full expansion, twist and Borel-Weil-Bott of
+    # the G2 factor on G(q + width, q)
+    skipped = acyclic = 0
+    for q in range(1, 5):
+        lams = [lam for total in range(9)
+                for lam in enumerate_in_box(2 * q, 4, total)]
+        for width in range(7):
+            zeros = (0,) * width
+            for lam in lams:
+                dual = schur.double_bundle_expand(lam, q)
+                for functor, ks in _g2_twists(q):
+                    quots = quot._quotient_weights(dual, q, functor, ks)
+                    dims = quot._factor_dims(q + width, quots.items(), zeros)
+                    skip = quot._g2_acyclic(lam, q, width, functor, ks)
+                    assert not (skip and dims), (lam, q, width, functor, ks)
+                    skipped += skip
+                    acyclic += not dims
+    # the bound rules out most acyclic factors, so the check is not vacuous
+    assert skipped > 5000 and skipped >= 0.7 * acyclic
+
+
 def test_piece_memo_dies_with_its_embedding():
     data = embedding_data(2, None, 2, 0, 2)
     quot_cohomology(data, dual_wedge_product(((1, G1), (1, G2))))

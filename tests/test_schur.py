@@ -197,7 +197,8 @@ def test_tensor_cache_holds_one_entry_per_unordered_pair(monkeypatch):
 
 def test_doubled_identity_catches_a_wrong_coefficient(monkeypatch, capsys):
     # one wrong tensor coefficient, c^(2)_{(1),(1)} = 2, breaks the
-    # dimension identity of every doubled expansion that reads it
+    # dimension identity of every doubled expansion that reads it; the
+    # command's piece lam = (1, 1) on G2 has cohomology, so it is expanded
     real = schur._lr_expand_cached
 
     def corrupt(alpha, beta, rows):
@@ -211,8 +212,8 @@ def test_doubled_identity_catches_a_wrong_coefficient(monkeypatch, capsys):
     try:
         with pytest.raises(ArithmeticError, match="doubled expansion"):
             double_bundle_expand((1, 1), 2)
-        code = cli.run(["chi", "--N", "2", "--n", "1", "--m", "1",
-                        "--functor", "wedge", "--k", "1"])
+        code = cli.run(["chi", "--N", "1", "--n", "1", "--m", "2",
+                        "--functor", "dual", "--ks", "1"])
         out = capsys.readouterr().out
         assert code == 3
         assert out.startswith('{"error": "internal: doubled expansion')
