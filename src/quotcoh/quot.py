@@ -35,23 +35,38 @@ window j <= w_j <= width + j - 1 (bott._window_row at k = 0).  Since w_j - j
 strictly decreases, the escaping rows are a prefix 1..p with
 w_j >= w_p >= width + p, then a suffix with w_j <= w_{p+1} <= p.  A weight
 w of the factor comes from some gamma with
-c^lam_{alpha,beta} c^gamma_{alpha,beta} != 0, so alpha and beta lie inside
+c^lam_{alpha,beta} c^gamma_{alpha,beta} != 0, alpha and beta of at most q2
+rows.  Two facts bound gamma by lam.  Containment puts alpha and beta inside
 lam, and Weyl's inequality gamma_{i+k-1} <= alpha_i + beta_k (Fulton,
-Bull. AMS 37, 2000) with |gamma| = |lam| gives
+Bull. AMS 37, 2000) gives gamma_j <= lam_i + lam_{j+1-i}.  Dominance
+(Fulton, *Young Tableaux*, ch. 5) gives alpha u beta <| lam for the union of
+the parts and gamma <| alpha + beta, so gamma_1 + ... + gamma_j is at most
+(alpha + beta)_1 + ... + (alpha + beta)_j, a sum of 2j parts of alpha u
+beta, hence at most P_j = lam_1 + ... + lam_{2j}; and gamma_j <= P_j // j.
+Neither bound implies the other: for lam = (9) Weyl gives gamma_3 <= 0 and
+dominance only 3, for lam = (4, 4, 1, 1) at j = 2 dominance gives 5 and
+Weyl 8.  So
 
-    gamma_j <= min(|lam| // j, lam_i + lam_{j+1-i} for 1 <= i <= j),
+    gamma_j <= min(P_j // j, lam_i + lam_{j+1-i} for 1 <= i <= j),
 
-taken weakly decreasing in j.  The Pieri twist then moves each entry by a
-bounded amount: wedge^k B lowers it by at most 1 per factor, the symmetric
-power by at most sum(ks) in all, and wedge^k B2* raises it by at most 1 per
-factor; so -down <= w_j <= gamma_j + up.  The size is exact:
-|w| = |lam| - sum(ks) for wedge and sym, |lam| + sum(ks) for dual.  If for
-no p the rows can meet their ranges and the sum of the row minima
-<= |w| <= the sum of the row maxima, no weight of the factor escapes, and
-its cohomology is zero.  This is exact too: it uses only containment,
-Weyl's inequality, sizes, row counts and Pieri shifts, never the index
+taken weakly decreasing in j, and gamma_1 + ... + gamma_p <= P_p.  The
+Pieri twist then moves each entry by a bounded amount: wedge^k B lowers it
+by at most 1 per factor, the symmetric power by at most sum(ks) in all, and
+wedge^k B2* raises it by at most 1 per factor, up = len(ks) in all; so
+-down <= w_j <= gamma_j + up, and the first p rows of w sum to at most
+P_p + p * up.  The size is exact: |w| = |lam| - sum(ks) for wedge and sym,
+|lam| + sum(ks) for dual.  If for no p the first p rows can sum to
+p * (width + p) and |w| fits between the least and the greatest sum the
+rows allow (the first p rows within that prefix bound, the others at most
+p and at least -down), no weight of the factor escapes, and its cohomology
+is zero.  This is exact too: it uses only containment, Weyl's inequality,
+dominance, sizes, row counts and Pieri shifts, never the index
 propositions that verify checks, and skips only factors whose
-contribution is zero.
+contribution is zero.  The converse is not claimed: the bound is only a
+sufficient condition for acyclicity.  On the benchmark's sweep and the
+large series and cohomology cases every factor it lets through has
+cohomology; on the test grid of G2 factors it lets through 268 acyclic
+ones of 17,500, which the expansion then decides.
 
 Every sheaf resolved on one embedding meets the same Cauchy pieces, and
 its twist touches only the G1 side, the G2 side or both.  So the factor
@@ -74,6 +89,7 @@ the embedding's equality, hash or repr.
 """
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Optional
 
 from .bott import (
@@ -86,7 +102,6 @@ from .partitions import (
     binom,
     negate_reverse,
     pad,
-    part,
     weyl_dim,
 )
 from .schur import cauchy_wedge, double_bundle_expand, pieri_twist
@@ -402,22 +417,28 @@ def _g2_acyclic(lam: tuple, q: int, width: int, functor: str,
     else:
         down = len(ks) if functor == "wedge" else sum(ks)
         up, total = 0, boxes - sum(ks)
-    # caps[j - 1] bounds w_j: gamma_j by Weyl's inequality with alpha and
-    # beta inside lam, and by the size of gamma, kept weakly decreasing;
-    # then the Pieri twist's rise.
-    caps, cap = [], boxes
+    # caps[j - 1] bounds w_j and reach[j] bounds w_1 + ... + w_j.  With
+    # top = lam_1 + ... + lam_{2j}, gamma_j is at most lam_i + lam_{j+1-i}
+    # (Weyl) and top // j (dominance), kept weakly decreasing, and
+    # gamma_1 + ... + gamma_j is at most top; the Pieri twist then raises
+    # each row by at most up.
+    rows = lam + (0,) * (2 * q)
+    caps, reach = [], [0]
+    cap, top = boxes, 0
     for j in range(1, q + 1):
-        cap = min([cap, boxes // j]
-                  + [part(lam, i) + part(lam, j + 1 - i)
-                     for i in range(1, j + 1)])
+        top += rows[2 * j - 2] + rows[2 * j - 1]
+        cap = min(cap, top // j, min(map(add, rows[:j], rows[j - 1::-1])))
         caps.append(cap + up)
+        reach.append(min(reach[-1] + cap + up, top + j * up))
     # p rows above the window, each at least width + p, and q - p rows
     # below it, each at most p and at least -down.
     for p in range(q + 1):
         if p and caps[p - 1] < width + p:
             break
+        if reach[p] < p * (width + p):
+            continue
         low = p * (width + p) - (q - p) * down
-        high = sum(caps[:p]) + sum(min(p, c) for c in caps[p:])
+        high = reach[p] + sum(min(p, c) for c in caps[p:])
         if low <= total <= high:
             return False
     return True

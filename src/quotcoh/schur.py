@@ -24,9 +24,15 @@ start + content), which gives:
 
 Single coefficients are not cached: a triple rarely recurs outside the
 expansion that first asked for it.  The reuse sits one level up.  The
-tensor and doubled-bundle expansions are cached per input, because every
-G2 twist of a Cauchy piece lam, and every embedding of the same rank,
-expands the same lam again; the Cauchy pairs per degree and box, because
+tensor and doubled-bundle expansions are cached per input.  Their reuse
+comes mostly from the vanishing certificates of indices._certify: a
+grid certifies each lam under several twists, and its lam share their
+(alpha, beta) pairs (one pass of the benchmark's grid makes 466 hits and
+82 misses on the doubled expansion, 411 and 202 on the tensor step).
+quot's hot path expands only the G2 factors its acyclicity bound lets
+through, nearly all with cohomology, so it expands few lam (a sweep pass
+14 factors over 2 lam, a series pass 60 over 3), each under several
+twists and ranks.  The Cauchy pairs are cached per degree and box, because
 every G1 twist on an embedding splits its terms over the same boxes; the
 two Pieri rules per weight and degree, because the expansions of different
 lam share their weights.  (weyl_dim in partitions and bwb_weight in bott
