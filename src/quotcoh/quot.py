@@ -27,6 +27,31 @@ only summands whose contribution is zero.  resolution_terms still lists
 every summand of a term, and term_cohomology of that list is the reference
 the factored profiles are tested against.
 
+The live pieces, those whose G1 factor has cohomology, are built without
+listing the others (_g1_live_pieces).  On G1 = G(d1, q1), with s = d1 - q1
+the rank of A1, the G1 factor of the piece lam under a quotient weight w
+of the G1 twist is S_w(B1) . S_mu(A1), mu = lam^T padded to s rows.
+Borel-Weil-Bott reads the concatenated weight (w, mu) plus the staircase
+rho = (d1 - 1, ..., 1, 0): its entries are w_i + d1 - i for 1 <= i <= q1
+and mu_j + s - j for 1 <= j <= s.  Each half strictly decreases, so an
+entry can repeat only across the halves, where mu_j + s - j = w_i + d1 - i
+means mu_j - j = w_i - i + q1.  The factor therefore has cohomology iff
+for every row j = 1..s
+
+    mu_j - j avoids F_w = {w_i - i + q1 : 1 <= i <= q1},
+
+rows past len(mu) read as 0.  The rule is one per row, so a walk that
+builds mu row by row, each row at most 2 q2 and at most the row above,
+skips the forbidden values, and may end mu at row j only when every later
+zero row is allowed; it reaches only live mu, of every size ell at once.
+A twist with several quotient weights takes one walk per weight and the
+union of their outputs, and only that union is transposed and run through
+Borel-Weil-Bott for its degrees and dimensions.  Under the identity twist
+w = 0 and F_w = {0, ..., q1 - 1}, which is Bott's theorem for S_mu(A1)
+(Weyman, *Cohomology of Vector Bundles and Syzygies*, 2003, ch. 4), the
+window of bott._window_row at width q1: a live mu has p rows of at least
+q1 + p and every other row at most p.
+
 A G2 factor whose every weight is acyclic is decided from lam alone, before
 its doubled expansion, Pieri twist and Borel-Weil-Bott are built
 (_g2_acyclic).  On G(d2, q2) with width = d2 - q2, S_w(B2*) with w in dual
@@ -102,6 +127,7 @@ from .partitions import (
     binom,
     negate_reverse,
     pad,
+    transpose,
     weyl_dim,
 )
 from .schur import cauchy_wedge, double_bundle_expand, pieri_twist
@@ -384,24 +410,51 @@ def _factor_dims(d: int, quots, sub: tuple) -> dict:
     return dims
 
 
+def _fill_live(out, stack, boxes, j, largest, forbidden, zero_ok):
+    # Module-level like the other walks, so no call leaves a reference
+    # cycle.  Rows 1..j-1 of mu are on the stack, boxes in all, and row j
+    # comes next.  mu may end here if rows j..s may all be 0 (zero_ok[j]);
+    # row j may take any v from largest down to 1 with v - j not forbidden.
+    if zero_ok[j]:
+        out[boxes][tuple(stack)] = None
+    if j == len(zero_ok) - 1:
+        return
+    for v in range(largest, 0, -1):
+        if v - j not in forbidden:
+            stack.append(v)
+            _fill_live(out, stack, boxes + v, j + 1, v, forbidden, zero_ok)
+            stack.pop()
+
+
 def _g1_live_pieces(data: EmbeddingData, functor: str, ks: tuple) -> tuple:
     """For each term ell, the Cauchy pieces whose G1 factor, S_{lam^T}(A1)
     twisted by (functor, ks), is not acyclic, as (lam, G1 {degree: dim}
-    items).  Memoized on the embedding."""
+    items).  Memoized on the embedding.
+
+    Only live pieces are built: one walk per quotient weight w picks the
+    rows of mu = lam^T that avoid w's forbidden values (see the module
+    docstring), all sizes at once, and a mu live under several weights is
+    kept once.  Only these mu are transposed and run through
+    Borel-Weil-Bott."""
     key = (G1, functor, ks)
     live = data._pieces.get(key)
     if live is None:
-        sub_len = data.d1 - data.q1
-        quots = _quotient_weights({(): 1}, data.q1, functor, ks).items()
-        live = []
-        for ell in range(data.rank_e + 1):
-            pieces = []
-            for lam_t, lam in cauchy_wedge(ell, sub_len, 2 * data.q2):
-                dims1 = _factor_dims(data.d1, quots, pad(lam_t, sub_len))
-                if dims1:
-                    pieces.append((lam, tuple(dims1.items())))
-            live.append(tuple(pieces))
-        live = data._pieces[key] = tuple(live)
+        q1, sub_len = data.q1, data.d1 - data.q1
+        quots = _quotient_weights({(): 1}, q1, functor, ks).items()
+        found = [{} for _ in range(data.rank_e + 1)]
+        for w, _ in quots:
+            forbidden = {x + q1 - i for i, x in enumerate(w, 1)}
+            # zero_ok[j]: rows j..s of mu may all be 0.
+            zero_ok = [True] * (sub_len + 2)
+            for j in range(sub_len, 0, -1):
+                zero_ok[j] = zero_ok[j + 1] and -j not in forbidden
+            _fill_live(found, [], 0, 1, 2 * data.q2, forbidden, zero_ok)
+        live = data._pieces[key] = tuple(
+            tuple((transpose(mu),
+                   tuple(_factor_dims(data.d1, quots,
+                                      pad(mu, sub_len)).items()))
+                  for mu in mus)
+            for mus in found)
     return live
 
 

@@ -32,12 +32,14 @@ grid certifies each lam under several twists, and its lam share their
 quot's hot path expands only the G2 factors its acyclicity bound lets
 through, nearly all with cohomology, so it expands few lam (a sweep pass
 14 factors over 2 lam, a series pass 60 over 3), each under several
-twists and ranks.  The Cauchy pairs are cached per degree and box, because
-every G1 twist on an embedding splits its terms over the same boxes; the
-two Pieri rules per weight and degree, because the expansions of different
-lam share their weights.  (weyl_dim in partitions and bwb_weight in bott
-are the other two caches; they pay for the same reason at the
-Borel-Weil-Bott step.)  These caches are global and unbounded.  The reuse
+twists and ranks.  The two Pieri rules are cached per weight and degree,
+because the expansions of different lam share their weights.  (weyl_dim in
+partitions and bwb_weight in bott are the other two caches; they pay for
+the same reason at the Borel-Weil-Bott step.)  These caches are global and
+unbounded.  The Cauchy pairs are not cached: quot's hot path walks only
+the pieces whose G1 factor has cohomology and never lists the pairs, so
+cauchy_wedge serves only the reference resolution_terms and the cauchy
+command, and checks the Cauchy identity on each list it builds.  The reuse
 among the sheaves resolved on one embedding sits higher still, in the
 memo of piece cohomology that quot keeps on each embedding and frees with
 it.  The direct-sum step is not cached: its one hot caller is the
@@ -67,6 +69,7 @@ from operator import le
 from .partitions import (
     as_partition,
     as_weight,
+    binom,
     contains,
     enumerate_in_box,
     pad,
@@ -244,17 +247,23 @@ def cauchy_wedge(ell: int, rank_left: int, rank_right: int) -> list:
     product of bundles of the given ranks.
 
     lam runs over partitions of size ell with at most rank_right rows and at
-    most rank_left columns.  The list is the caller's own.
+    most rank_left columns.  The list is built on each call and checked
+    against the Cauchy identity: the pieces' dimensions add up to
+    C(rank_left * rank_right, ell), or ArithmeticError is raised.
     """
     if ell < 0:
         raise ValueError("ell must be nonnegative")
-    return list(_cauchy_cached(ell, rank_left, rank_right))
-
-
-@lru_cache(maxsize=None)
-def _cauchy_cached(ell, rank_left, rank_right) -> tuple:
-    return tuple((transpose(lam), lam)
-                 for lam in enumerate_in_box(rank_right, rank_left, ell))
+    pairs = [(transpose(lam), lam)
+             for lam in enumerate_in_box(rank_right, rank_left, ell)]
+    total = sum(weyl_dim_uncached(pad(lam_t, rank_left), rank_left)
+                * weyl_dim_uncached(pad(lam, rank_right), rank_right)
+                for lam_t, lam in pairs)
+    want = binom(rank_left * rank_right, ell)
+    if total != want:
+        raise ArithmeticError(f"Cauchy pieces of wedge^{ell} over ranks "
+                              f"{rank_left} x {rank_right} have dimension "
+                              f"{total}, not {want}")
+    return pairs
 
 
 @lru_cache(maxsize=None)

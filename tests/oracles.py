@@ -6,9 +6,20 @@ stripping the lexicographically leading monomial.  The doubled-bundle
 oracle folds the Schur polynomial of lam in 2n variables onto n and
 decomposes it the same way.  Neither touches the library's tableau
 enumeration, so agreement between the two is meaningful.
+
+The G1 scan is the reference for quot's walk over the live Cauchy pieces:
+it lists every pair (lam^T, lam) of every term with cauchy_wedge and keeps
+those whose twisted G1 factor has cohomology by Borel-Weil-Bott.  The two
+share the twist's quotient weights and the Borel-Weil-Bott step, but the
+scan runs that step on every piece to decide which are live, where the
+walk decides by its per-row rule and never lists a dead piece.
 """
 
 from functools import lru_cache
+
+from quotcoh.partitions import pad
+from quotcoh.quot import G1, _factor_dims, _quotient_weights, _twist
+from quotcoh.schur import cauchy_wedge
 
 
 @lru_cache(maxsize=None)
@@ -104,3 +115,20 @@ def lr_oracle(alpha: tuple, beta: tuple, gamma: tuple, nvars: int) -> int:
 def ssyt_count(shape: tuple, nvars: int) -> int:
     """Number of semistandard tableaux with entries up to nvars."""
     return sum(c for _, c in schur_monomials(shape, nvars))
+
+
+def g1_scan(data, sheaf) -> list:
+    """For each term ell, the sorted (lam, sorted G1 {degree: dim} items)
+    of the Cauchy pieces whose G1 factor under the sheaf's G1 twist has
+    cohomology, by scanning every piece."""
+    sub_len = data.d1 - data.q1
+    quots = _quotient_weights({(): 1}, data.q1, *_twist(sheaf, G1)).items()
+    live = []
+    for ell in range(data.rank_e + 1):
+        pieces = []
+        for lam_t, lam in cauchy_wedge(ell, sub_len, 2 * data.q2):
+            dims1 = _factor_dims(data.d1, quots, pad(lam_t, sub_len))
+            if dims1:
+                pieces.append((lam, tuple(sorted(dims1.items()))))
+        live.append(sorted(pieces))
+    return live

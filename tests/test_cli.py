@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from quotcoh import cli, indices
+from quotcoh import cli, indices, schur
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +217,20 @@ def test_internal_faults_exit_3(capsys, monkeypatch):
     code, doc = run_json(capsys, *argv)
     assert code == 3
     assert doc == {"error": "internal: codimension check failed"}
+
+
+def test_cauchy_identity_failure_exits_3(capsys, monkeypatch):
+    # one Cauchy pair lost from the enumeration breaks the dimension sum
+    real = schur.enumerate_in_box
+
+    def drop_one(max_rows, max_cols, total):
+        return real(max_rows, max_cols, total)[1:]
+
+    monkeypatch.setattr(schur, "enumerate_in_box", drop_one)
+    code, doc = run_json(capsys, "cauchy", "--ell", "2", "--rank-left", "3",
+                         "--rank-right", "2")
+    assert code == 3
+    assert doc["error"].startswith("internal: Cauchy pieces of wedge^2")
 
 
 def test_invalid_inputs_exit_2(capsys):

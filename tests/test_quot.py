@@ -23,6 +23,7 @@ from quotcoh.quot import (
     verify_theorem,
     wedge_power,
 )
+from oracles import g1_scan
 
 
 def test_embedding_examples():
@@ -296,6 +297,102 @@ def test_one_g1_entry_per_twist():
     assert len(data._pieces) > len(g1_keys)
     assert all(len(key) == 4 for key in data._pieces if key[0] == G2)
     assert not any(isinstance(x, int) for key in data._pieces for x in key)
+
+
+def _g1_twisted_sheaves(q):
+    """The identity, wedge^k, sym^k and dual^k for k = 1..3 and the dual
+    products (1, 1) and (2, 1), all on G1, that a rank-q quotient admits."""
+    yield wedge_power(0, G1)
+    for k in (1, 2, 3):
+        if q:
+            yield sym_power(k, G1)
+        if k <= q:
+            yield wedge_power(k, G1)
+            yield dual_wedge_product(((k, G1),))
+    for ks in ((1, 1), (2, 1)):
+        if ks[0] <= q:
+            yield quot.TautologicalSheaf("dual", ks, (G1, G1))
+
+
+def test_live_walk_matches_the_full_scan():
+    # The walk builds only the Cauchy pieces whose G1 factor has
+    # cohomology; the reference lists every piece and runs Borel-Weil-Bott
+    # on each.  Embeddings with r = 0, with r >= 1 and on a split bundle.
+    cases = live = 0
+    for args in ((2, None, 2, 0, 2), (3, None, 2, 0, 2), (4, None, 2, 0, 2),
+                 (2, None, 3, 0, 3), (3, None, 2, 1, 3), (2, None, 3, 1, 4),
+                 (3, None, 1, 1, 1), (2, (1, 0), 2, 0, 2),
+                 (2, (1, 0), 2, 1, 3)):
+        data = embedding_data(*args)
+        for sheaf in _g1_twisted_sheaves(data.q1):
+            walked = quot._g1_live_pieces(data, *quot._twist(sheaf, G1))
+            scanned = g1_scan(data, sheaf)
+            assert len(walked) == len(scanned) == data.rank_e + 1
+            for ell, pieces in enumerate(walked):
+                got = sorted((lam, tuple(sorted(dims)))
+                             for lam, dims in pieces)
+                assert got == scanned[ell], (args, sheaf, ell)
+                cases += 1
+                live += len(got)
+    assert cases >= 2000 and live >= 6000, (cases, live)
+
+
+# (functor, ks, sides) -> (chi, dims, the nonzero term profiles), computed
+# by listing every Cauchy piece of every term.
+_GUARD_ANSWERS = {
+    (4, None, 2, 0, 2): {
+        ("wedge", (0,), (G2,)): (1, ((0, 1),), ((0, ((0, 1),)),)),
+        ("wedge", (1,), (G1,)): (8, ((0, 8),), ((0, ((0, 8),)),)),
+        ("wedge", (2,), (G1,)): (28, ((0, 28),), ((0, ((0, 28),)),)),
+        ("wedge", (1,), (G2,)): (12, ((0, 12),), ((0, ((0, 12),)),)),
+        ("wedge", (2,), (G2,)): (66, ((0, 66),), ((0, ((0, 66),)),)),
+        ("sym", (1,), (G1,)): (8, ((0, 8),), ((0, ((0, 8),)),)),
+        ("sym", (2,), (G1,)): (36, ((0, 36),), ((0, ((0, 36),)),)),
+        ("sym", (3,), (G1,)): (120, ((0, 120),), ((0, ((0, 120),)),)),
+        ("sym", (1,), (G2,)): (12, ((0, 12),), ((0, ((0, 12),)),)),
+        ("sym", (2,), (G2,)): (78, ((0, 78),), ((0, ((0, 78),)),)),
+        ("sym", (3,), (G2,)): (360, None, ((0, ((0, 364),)),
+                                           (15, ((14, 16),)),
+                                           (16, ((14, 12),)))),
+        ("dual", (1, 1), (G1, G2)): (0, (), ()),
+        ("dual", (2, 1), (G2, G1)): (0, (), ()),
+    },
+    (3, None, 2, 1, 3): {
+        ("wedge", (0,), (G2,)): (1, ((0, 1),), ((0, ((0, 1),)),)),
+        ("wedge", (1,), (G1,)): (9, ((0, 9),), ((0, ((0, 9),)),)),
+        ("wedge", (2,), (G1,)): (36, ((0, 36),), ((0, ((0, 36),)),)),
+        ("wedge", (3,), (G1,)): (84, ((0, 84),), ((0, ((0, 84),)),)),
+        ("wedge", (1,), (G2,)): (12, ((0, 12),), ((0, ((0, 12),)),)),
+        ("wedge", (2,), (G2,)): (66, ((0, 66),), ((0, ((0, 66),)),)),
+        ("wedge", (3,), (G2,)): (220, ((0, 220),), ((0, ((0, 220),)),)),
+        ("sym", (1,), (G1,)): (9, ((0, 9),), ((0, ((0, 9),)),)),
+        ("sym", (2,), (G1,)): (45, ((0, 45),), ((0, ((0, 45),)),)),
+        ("sym", (3,), (G1,)): (165, ((0, 165),), ((0, ((0, 165),)),)),
+        ("sym", (1,), (G2,)): (12, ((0, 12),), ((0, ((0, 12),)),)),
+        ("sym", (2,), (G2,)): (78, ((0, 78),), ((0, ((0, 78),)),)),
+        ("sym", (3,), (G2,)): (364, ((0, 364),), ((0, ((0, 364),)),)),
+        ("dual", (1, 1), (G1, G2)): (18, None, ((10, ((12, 180),)),
+                                                (11, ((12, 162),)))),
+        ("dual", (2, 1), (G2, G1)): (15, None, ((10, ((12, 15),)),)),
+    },
+}
+
+
+def test_hot_path_never_lists_every_cauchy_piece(monkeypatch):
+    # cauchy_wedge serves only the reference; the answers must not change
+    # when the hot path cannot reach it
+    def refuse(*args):
+        raise AssertionError("the hot path listed every Cauchy piece")
+
+    monkeypatch.setattr(quot, "cauchy_wedge", refuse)
+    for args, answers in _GUARD_ANSWERS.items():
+        data = embedding_data(*args)
+        for (functor, ks, sides), want in answers.items():
+            res = quot_cohomology(data,
+                                  quot.TautologicalSheaf(functor, ks, sides))
+            nonzero = tuple((ell, p.dims) for ell, p in res.per_term
+                            if not p.is_zero)
+            assert (res.chi, res.dims, nonzero) == want, (args, functor, ks)
 
 
 def test_warm_embedding_equals_cold():

@@ -273,7 +273,8 @@ def test_cauchy_wedge_examples():
 
 
 def test_cauchy_wedge_returns_a_fresh_list():
-    # the pairs are cached per box; a caller's edits must not reach them
+    # each call builds its own list; a caller's edits must not reach the
+    # next one
     pairs = cauchy_wedge(2, 3, 2)
     pairs[0] = None
     pairs.append(((3,), (1, 1, 1)))
