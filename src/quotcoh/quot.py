@@ -61,36 +61,36 @@ strictly decreases, the escaping rows are a prefix 1..p with
 w_j >= w_p >= width + p, then a suffix with w_j <= w_{p+1} <= p.  A weight
 w of the factor comes from some gamma with
 c^lam_{alpha,beta} c^gamma_{alpha,beta} != 0, alpha and beta of at most q2
-rows.  Two facts bound gamma by lam.  Containment puts alpha and beta inside
-lam, and Weyl's inequality gamma_{i+k-1} <= alpha_i + beta_k (Fulton,
-Bull. AMS 37, 2000) gives gamma_j <= lam_i + lam_{j+1-i}.  Dominance
-(Fulton, *Young Tableaux*, ch. 5) gives alpha u beta <| lam for the union of
-the parts and gamma <| alpha + beta, so gamma_1 + ... + gamma_j is at most
-(alpha + beta)_1 + ... + (alpha + beta)_j, a sum of 2j parts of alpha u
-beta, hence at most P_j = lam_1 + ... + lam_{2j}; and gamma_j <= P_j // j.
-Neither bound implies the other: for lam = (9) Weyl gives gamma_3 <= 0 and
-dominance only 3, for lam = (4, 4, 1, 1) at j = 2 dominance gives 5 and
-Weyl 8.  So
+rows.  Dominance (Fulton, *Young Tableaux*, ch. 5) gives alpha u beta <| lam
+for the union of the parts and gamma <| alpha + beta, so
+gamma_1 + ... + gamma_p is at most (alpha + beta)_1 + ... + (alpha + beta)_p,
+a sum of 2p parts of alpha u beta, hence at most
+P_p = lam_1 + ... + lam_{2p}.
 
-    gamma_j <= min(P_j // j, lam_i + lam_{j+1-i} for 1 <= i <= j),
+The Pieri twist then moves the entries by bounded amounts.  wedge^k B
+lowers k entries by 1, and the symmetric power lowers entries by sum(ks)
+in all, so every entry of w is at least -down, with down = len(ks) for
+wedge and sum(ks) for sym.  Each factor wedge^k B2* of a dual twist raises
+k distinct entries by 1, so the first p rows rise by at most
+rise_p = min(p * len(ks), sum(ks)) and no entry falls (down = 0).  The
+wedge and sym twists take rise_p = 0: their lowering earns the prefix no
+credit.  So the first p rows of w sum to at most P_p + rise_p.  The size
+is exact: |w| = |lam| - sum(ks) for wedge and sym, |lam| + sum(ks) for
+dual.  A weight whose first p rows escape above the window, each at least
+width + p, and whose other q2 - p rows escape below it, each at most p and
+at least -down, therefore needs
 
-taken weakly decreasing in j, and gamma_1 + ... + gamma_p <= P_p.  The
-Pieri twist then moves each entry by a bounded amount: wedge^k B lowers it
-by at most 1 per factor, the symmetric power by at most sum(ks) in all, and
-wedge^k B2* raises it by at most 1 per factor, up = len(ks) in all; so
--down <= w_j <= gamma_j + up, and the first p rows of w sum to at most
-P_p + p * up.  The size is exact: |w| = |lam| - sum(ks) for wedge and sym,
-|lam| + sum(ks) for dual.  If for no p the first p rows can sum to
-p * (width + p) and |w| fits between the least and the greatest sum the
-rows allow (the first p rows within that prefix bound, the others at most
-p and at least -down), no weight of the factor escapes, and its cohomology
-is zero.  This is exact too: it uses only containment, Weyl's inequality,
-dominance, sizes, row counts and Pieri shifts, never the index
-propositions that verify checks, and skips only factors whose
-contribution is zero.  The converse is not claimed: the bound is only a
-sufficient condition for acyclicity.  On the benchmark's sweep and the
-large series and cohomology cases every factor it lets through has
-cohomology; on the test grid of G2 factors it lets through 268 acyclic
+    p * (width + p) <= P_p + rise_p   and
+    p * (width + p) - (q2 - p) * down <= |w| <= P_p + rise_p + (q2 - p) * p.
+
+If no p = 0..q2 meets both, no weight of the factor escapes, and its
+cohomology is zero.  The test reads lam only through |lam| and P_1..P_q2.
+It is exact too: it uses only dominance, sizes, row counts and Pieri
+shifts, never the index propositions that verify checks, and skips only
+factors whose contribution is zero.  The converse is not claimed: the test
+is only a sufficient condition for acyclicity.  On the benchmark's sweep
+and the large series and cohomology cases every factor it lets through has
+cohomology; on the test grid of G2 factors it lets through 225 acyclic
 ones of 17,500, which the expansion then decides.
 
 Every sheaf resolved on one embedding meets the same Cauchy pieces, and
@@ -114,7 +114,6 @@ the embedding's equality, hash or repr.
 """
 
 from dataclasses import dataclass, field
-from operator import add
 from typing import Optional
 
 from .bott import (
@@ -462,38 +461,26 @@ def _g2_acyclic(lam: tuple, q: int, width: int, functor: str,
                 ks: tuple) -> bool:
     """True when S_lam(B* + B*) twisted by (functor, ks) is acyclic on the
     Grassmannian of rank-q quotients of (q + width)-dimensional space, read
-    off lam without expanding it.  False means only that the bounds admit a
-    weight with cohomology (see the module docstring)."""
+    off lam's size and prefix sums P_p without expanding it.  False means
+    only that the bound admits a weight with cohomology (see the module
+    docstring)."""
     boxes = sum(lam)
     if functor == "dual":
-        down, up, total = 0, len(ks), boxes + sum(ks)
+        down, up, rise, total = 0, len(ks), sum(ks), boxes + sum(ks)
     else:
         down = len(ks) if functor == "wedge" else sum(ks)
-        up, total = 0, boxes - sum(ks)
-    # caps[j - 1] bounds w_j and reach[j] bounds w_1 + ... + w_j.  With
-    # top = lam_1 + ... + lam_{2j}, gamma_j is at most lam_i + lam_{j+1-i}
-    # (Weyl) and top // j (dominance), kept weakly decreasing, and
-    # gamma_1 + ... + gamma_j is at most top; the Pieri twist then raises
-    # each row by at most up.
-    rows = lam + (0,) * (2 * q)
-    caps, reach = [], [0]
-    cap, top = boxes, 0
-    for j in range(1, q + 1):
-        top += rows[2 * j - 2] + rows[2 * j - 1]
-        cap = min(cap, top // j, min(map(add, rows[:j], rows[j - 1::-1])))
-        caps.append(cap + up)
-        reach.append(min(reach[-1] + cap + up, top + j * up))
-    # p rows above the window, each at least width + p, and q - p rows
-    # below it, each at most p and at least -down.
+        up, rise, total = 0, 0, boxes - sum(ks)
+    # p rows above the window, each at least width + p and summing to at
+    # most P_p + rise_p, and q - p rows below it, each at most p and at
+    # least -down.
+    top = 0  # P_p
     for p in range(q + 1):
-        if p and caps[p - 1] < width + p:
-            break
-        if reach[p] < p * (width + p):
-            continue
-        low = p * (width + p) - (q - p) * down
-        high = reach[p] + sum(min(p, c) for c in caps[p:])
-        if low <= total <= high:
+        reach = top + min(p * up, rise)
+        least = p * (width + p)
+        if (least <= reach
+                and least - (q - p) * down <= total <= reach + (q - p) * p):
             return False
+        top += sum(lam[2 * p:2 * p + 2])
     return True
 
 

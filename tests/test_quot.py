@@ -183,10 +183,10 @@ def test_g2_bound_skips_only_acyclic_factors():
                     assert not (skip and dims), (lam, q, width, functor, ks)
                     skipped += skip
                     acyclic += not dims
-    # the bound rules out nearly every acyclic factor (6,722 of 6,990), so
-    # the check is not vacuous; without the dominance bound on the first
-    # rows' sum it rules out 6,694
-    assert skipped > 6700 and skipped >= 0.96 * acyclic
+    # the bound rules out nearly every acyclic factor (6,765 of 6,990), so
+    # the check is not vacuous; without the cap of the dual twist's rise at
+    # sum(ks) it rules out 6,722, and without the lower size bound 6,665
+    assert skipped > 6750 and skipped >= 0.96 * acyclic
 
 
 def test_only_g2_factors_with_cohomology_are_expanded(monkeypatch):
@@ -205,13 +205,15 @@ def test_only_g2_factors_with_cohomology_are_expanded(monkeypatch):
         before = len(expanded)
         dims2 = real_piece(data, functor, ks, lam)
         if len(expanded) > before:
-            sent.append(((data.N, data.n, data.m), functor, ks, lam, dims2))
+            sent.append(((data.N, data.n, data.r, data.m), functor, ks, lam,
+                         dims2))
         return dims2
 
     monkeypatch.setattr(quot, "double_bundle_expand", expand)
     monkeypatch.setattr(quot, "_g2_piece", piece)
-    for N, n, m in ((4, 2, 2), (3, 2, 2), (2, 3, 3)):
-        data = embedding_data(N, None, n, 0, m)
+    for N, n, r, m in ((4, 2, 0, 2), (3, 2, 0, 2), (2, 3, 0, 3), (3, 1, 1, 2),
+                       (3, 2, 1, 3)):
+        data = embedding_data(N, None, n, r, m)
         sheaves = [f(k, side) for f in (wedge_power, sym_power)
                    for side in (G1, G2) for k in range(n + 1)]
         factors = [(k, side) for k in range(1, n + 1) for side in (G1, G2)]
@@ -221,8 +223,9 @@ def test_only_g2_factors_with_cohomology_are_expanded(monkeypatch):
                         if [s for _, s in prod].count(G1) <= 1]
         for sheaf in sheaves:
             quot_cohomology(data, sheaf)
-    # 17 factors are sent; the Weyl and size bounds alone send 168, of
-    # which 151 are acyclic
+    # 45 factors are sent, 17 of them on the r = 0 embeddings; without the
+    # cap of the dual twist's rise at sum(ks), (3, 1, 1, 2) alone sends 20,
+    # of which 13 are acyclic
     assert len(sent) >= 10
     assert [x for x in sent if not x[-1]] == []
 
