@@ -21,11 +21,11 @@ an external product F1 box F2 of a G1 bundle F1 (S_{lam^T}(A1) twisted by
 the sheaf's G1 factors) and a G2 bundle F2 (the doubled expansion of
 S_lam twisted by its G2 factors), so by Kunneth H(F1 box F2) is
 H(F1) tensor H(F2): degrees add and dimensions multiply.  When F1 is
-acyclic the product vanishes whatever F2 is, so term_profiles never
-expands the G2 side of such a piece.  This is exact, not a bound: it skips
-only summands whose contribution is zero.  resolution_terms still lists
-every summand of a term, and term_cohomology of that list is the reference
-the factored profiles are tested against.
+acyclic, or the G2 test below proves F2 acyclic, the product vanishes, and
+term_profiles builds neither side of the piece.  This skips only summands
+whose contribution is zero.  resolution_terms still lists every summand of a term, and
+term_cohomology of that list is the reference the factored profiles are
+tested against.
 
 The live pieces, those whose G1 factor has cohomology, are built without
 listing the others (_g1_live_pieces).  On G1 = G(d1, q1), with s = d1 - q1
@@ -45,18 +45,17 @@ builds mu row by row, each row at most 2 q2 and at most the row above,
 skips the forbidden values, and may end mu at row j only when every later
 zero row is allowed; it reaches only live mu, of every size ell at once.
 A twist with several quotient weights takes one walk per weight and the
-union of their outputs, and only that union is transposed and run through
-Borel-Weil-Bott for its degrees and dimensions.  Under the identity twist
+union of their outputs.  Under the identity twist
 w = 0 and F_w = {0, ..., q1 - 1}, which is Bott's theorem for S_mu(A1)
 (Weyman, *Cohomology of Vector Bundles and Syzygies*, 2003, ch. 4), the
 window of bott._window_row at width q1: a live mu has p rows of at least
 q1 + p and every other row at most p.
 
 A G2 factor whose every weight is acyclic is decided from lam alone, before
-its doubled expansion, Pieri twist and Borel-Weil-Bott are built
-(_g2_acyclic).  On G(d2, q2) with width = d2 - q2, S_w(B2*) with w in dual
-coordinates (q2 entries) has cohomology only if every row j escapes the
-window j <= w_j <= width + j - 1 (bott._window_row at k = 0).  Since w_j - j
+its doubled expansion, Pieri twist and Borel-Weil-Bott are built.  On
+G(d2, q2) with width = d2 - q2, S_w(B2*) with w in dual coordinates (q2
+entries) has cohomology only if every row j escapes the window
+j <= w_j <= width + j - 1 (bott._window_row at k = 0).  Since w_j - j
 strictly decreases, the escaping rows are a prefix 1..p with
 w_j >= w_p >= width + p, then a suffix with w_j <= w_{p+1} <= p.  A weight
 w of the factor comes from some gamma with
@@ -75,42 +74,52 @@ k distinct entries by 1, so the first p rows rise by at most
 rise_p = min(p * len(ks), sum(ks)) and no entry falls (down = 0).  The
 wedge and sym twists take rise_p = 0: their lowering earns the prefix no
 credit.  So the first p rows of w sum to at most P_p + rise_p.  The size
-is exact: |w| = |lam| - sum(ks) for wedge and sym, |lam| + sum(ks) for
-dual.  A weight whose first p rows escape above the window, each at least
-width + p, and whose other q2 - p rows escape below it, each at most p and
-at least -down, therefore needs
+is exact: |w| = |lam| + shift, with shift = -sum(ks) for wedge and sym and
+sum(ks) for dual (_g2_bound).  A weight whose first p rows escape above
+the window, each at least width + p, and whose other q2 - p rows escape
+below it, each at most p and at least -down, therefore needs
 
-    p * (width + p) <= P_p + rise_p   and
-    p * (width + p) - (q2 - p) * down <= |w| <= P_p + rise_p + (q2 - p) * p.
+    (A) p * (width + p) <= P_p + rise_p,
+    (B) p * (width + p) - (q2 - p) * down <= |lam| + shift,
+    (C) |lam| - P_p + shift <= rise_p + (q2 - p) * p.
 
-If no p = 0..q2 meets both, no weight of the factor escapes, and its
-cohomology is zero.  The test reads lam only through |lam| and P_1..P_q2.
-It is exact too: it uses only dominance, sizes, row counts and Pieri
-shifts, never the index propositions that verify checks, and skips only
-factors whose contribution is zero.  The converse is not claimed: the test
-is only a sufficient condition for acyclicity.  On the benchmark's sweep
-and the large series and cohomology cases every factor it lets through has
-cohomology; on the test grid of G2 factors it lets through 225 acyclic
-ones of 17,500, which the expansion then decides.
+If no p = 0..q2 meets all three, no weight escapes and the factor is
+acyclic.  The test reads lam only through |lam| and P_1..P_q2, and uses
+only dominance, sizes, row counts and Pieri shifts.  It is sufficient, not
+necessary: on the test grid of G2 factors it lets through 225 acyclic ones
+of 17,500, which the expansion then decides.
 
-Every sheaf resolved on one embedding meets the same Cauchy pieces, and
-its twist touches only the G1 side, the G2 side or both.  So the factor
-cohomology is memoized on the EmbeddingData itself, keyed by the twist of
-one side, (functor, ks) over that side's factors of positive degree (the
-identity twist when there are none).  It holds two kinds of entry:
+The walk runs the test as it builds mu (_g2_admits).  Column j of lam
+meets its first 2p rows in min(mu_j, 2p) boxes, so P_p = sum_j min(mu_j, 2p)
+and |lam| = sum_j mu_j are running sums of the rows chosen so far.  Before
+the walk takes v as row j, with rest = s - j rows after it, each at most
+v, it bounds every completion of the rows so far, v included: P_p grows by
+at most rest * min(v, 2p), since a later row u adds min(u, 2p) <=
+min(v, 2p); |lam| grows by at most rest * v; and the tail |lam| - P_p =
+sum_j max(mu_j - 2p, 0) never falls.  So (A) failing with
+P_p + rest * min(v, 2p), (B) with |lam| + rest * v or (C) with the
+current tail fails on every completion, and when for every p one of them
+fails, the branch is cut.  The bounds ignore the G1 rule, so a cut removes
+only pieces the test rejects.  At rest = 0 each bound is the value itself
+and the cut is the test on lam, which the walk runs wherever mu may end; so
+it emits exactly the pieces live on G1 and admitted on G2.
 
-* per G1 twist: for every term ell, the live pieces, those whose G1 factor
-  is not acyclic, each as lam with its G1 {degree: dim} items;
+Every sheaf resolved on one embedding meets the same Cauchy pieces, so
+their factor cohomology is memoized on the EmbeddingData, keyed by each
+side's twist, (functor, ks) over its factors of positive degree (the
+identity twist when there are none):
+
+* per pair (G1 twist, G2 twist): for every term ell, the pieces the walk
+  emits, each as lam with its G1 {degree: dim} items;
 * per (G2 twist, lam): the G2 factor's {degree: dim} items.
 
-Only the Kunneth convolution of the two is done per sheaf.  The memo is
-exact: an entry depends on nothing but the embedding, the side's twist
-and lam, if any, which its scope and key fix, so it is the very integer
-table a sheaf would build for itself, whichever sheaf first asked for it.
-Degree-0 factors are trivial bundles and leave the key, so the structure
-sheaf shares its pieces with every sheaf twisted on the other side only.
-The memo lives on the embedding and is freed with it; it takes no part in
-the embedding's equality, hash or repr.
+The walk's output depends on both twists, hence the pair key; the cut
+makes a walk per pair cheaper than keeping every piece live on G1 and
+filtering it per G2 twist.  Only the Kunneth convolution is done per sheaf.
+The memo is exact: an entry depends only on the embedding, the twists and
+lam, which its scope and key fix.  Degree-0 factors are trivial bundles and
+leave the key.  The memo is freed with the embedding and takes no part in
+its equality, hash or repr.
 """
 
 from dataclasses import dataclass, field
@@ -409,37 +418,86 @@ def _factor_dims(d: int, quots, sub: tuple) -> dict:
     return dims
 
 
-def _fill_live(out, stack, boxes, j, largest, forbidden, zero_ok):
-    # Module-level like the other walks, so no call leaves a reference
-    # cycle.  Rows 1..j-1 of mu are on the stack, boxes in all, and row j
-    # comes next.  mu may end here if rows j..s may all be 0 (zero_ok[j]);
-    # row j may take any v from largest down to 1 with v - j not forbidden.
-    if zero_ok[j]:
+def _g2_bound(q: int, width: int, functor: str, ks: tuple) -> tuple:
+    """What the G2 test reads off the twist (functor, ks) on the
+    Grassmannian of rank-q quotients of (q + width)-dimensional space:
+    (q, width, down, up, rise, shift), with every entry of a twisted weight
+    at least -down, the first p rows rising by at most min(p * up, rise) and
+    |w| = |lam| + shift (see the module docstring)."""
+    if functor == "dual":
+        return q, width, 0, len(ks), sum(ks), sum(ks)
+    down = len(ks) if functor == "wedge" else sum(ks)
+    return q, width, down, 0, 0, -sum(ks)
+
+
+def _g2_admits(bound, tops, boxes, rest, v) -> bool:
+    """False when no completion of mu's rows so far (boxes in all, with
+    tops[p] = P_p) by up to rest more rows of at most v can give a G2 factor
+    the bound admits.  At rest = 0 it is the test on lam itself; True there
+    means only that the bound admits a weight with cohomology (see the
+    module docstring).  This is the walk's inner loop, so it spells out
+    min() as conditional expressions: the builtin call costs a third of
+    it."""
+    q, width, down, up, rise, shift = bound
+    total = boxes + shift
+    for p, top in enumerate(tops):
+        rise_p = p * up if p * up < rise else rise
+        least = p * (width + p)
+        if (least - (q - p) * down <= total + rest * v
+                and total - top <= rise_p + (q - p) * p
+                and least <= top + rest * (v if v < 2 * p else 2 * p)
+                + rise_p):
+            return True
+    return False
+
+
+def _fill_live(out, stack, boxes, tops, largest, forbidden, zero_ok, bound):
+    """Walk the rows of mu = lam^T that follow the stack, emitting into
+    out[ell] every live mu the G2 test admits (see the module docstring).
+
+    Module-level like the other walks, so no call leaves a reference
+    cycle.  Rows 1..j-1 of mu are on the stack, boxes in all, with the
+    running prefix sums tops[p] = P_p, and row j comes next.  mu may end
+    here if rows j..s may all be 0 (zero_ok[j]) and the G2 test admits lam.
+    Row j may take any v from largest down to 1 with v - j not forbidden,
+    if some completion of the rows with v, by the rest = s - j rows after
+    it, could be admitted."""
+    j = len(stack) + 1
+    if zero_ok[j] and _g2_admits(bound, tops, boxes, 0, 0):
         out[boxes][tuple(stack)] = None
     if j == len(zero_ok) - 1:
         return
+    rest = len(zero_ok) - 2 - j
     for v in range(largest, 0, -1):
-        if v - j not in forbidden:
+        if v - j in forbidden:
+            continue
+        below = [top + (v if v < 2 * p else 2 * p)
+                 for p, top in enumerate(tops)]
+        if _g2_admits(bound, below, boxes + v, rest, v):
             stack.append(v)
-            _fill_live(out, stack, boxes + v, j + 1, v, forbidden, zero_ok)
+            _fill_live(out, stack, boxes + v, below, v, forbidden, zero_ok,
+                       bound)
             stack.pop()
 
 
-def _g1_live_pieces(data: EmbeddingData, functor: str, ks: tuple) -> tuple:
+def _g1_live_pieces(data: EmbeddingData, twist1, twist2) -> tuple:
     """For each term ell, the Cauchy pieces whose G1 factor, S_{lam^T}(A1)
-    twisted by (functor, ks), is not acyclic, as (lam, G1 {degree: dim}
-    items).  Memoized on the embedding.
+    twisted by twist1 = (functor, ks), has cohomology and whose G2 factor
+    under twist2 the G2 test admits, as (lam, G1 {degree: dim} items).
+    Memoized on the embedding per pair of twists.
 
-    Only live pieces are built: one walk per quotient weight w picks the
-    rows of mu = lam^T that avoid w's forbidden values (see the module
-    docstring), all sizes at once, and a mu live under several weights is
+    Only those pieces are built: one walk per quotient weight w of twist1
+    picks the rows of mu = lam^T that avoid w's forbidden values and cuts
+    every branch no completion of which the G2 test admits (see the module
+    docstring), all sizes at once, and a mu found under several weights is
     kept once.  Only these mu are transposed and run through
     Borel-Weil-Bott."""
-    key = (G1, functor, ks)
+    key = (G1, *twist1, *twist2)
     live = data._pieces.get(key)
     if live is None:
         q1, sub_len = data.q1, data.d1 - data.q1
-        quots = _quotient_weights({(): 1}, q1, functor, ks).items()
+        quots = _quotient_weights({(): 1}, q1, *twist1).items()
+        bound = _g2_bound(data.q2, data.d2 - data.q2, *twist2)
         found = [{} for _ in range(data.rank_e + 1)]
         for w, _ in quots:
             forbidden = {x + q1 - i for i, x in enumerate(w, 1)}
@@ -447,7 +505,8 @@ def _g1_live_pieces(data: EmbeddingData, functor: str, ks: tuple) -> tuple:
             zero_ok = [True] * (sub_len + 2)
             for j in range(sub_len, 0, -1):
                 zero_ok[j] = zero_ok[j + 1] and -j not in forbidden
-            _fill_live(found, [], 0, 1, 2 * data.q2, forbidden, zero_ok)
+            _fill_live(found, [], 0, [0] * (data.q2 + 1), 2 * data.q2,
+                       forbidden, zero_ok, bound)
         live = data._pieces[key] = tuple(
             tuple((transpose(mu),
                    tuple(_factor_dims(data.d1, quots,
@@ -457,48 +516,17 @@ def _g1_live_pieces(data: EmbeddingData, functor: str, ks: tuple) -> tuple:
     return live
 
 
-def _g2_acyclic(lam: tuple, q: int, width: int, functor: str,
-                ks: tuple) -> bool:
-    """True when S_lam(B* + B*) twisted by (functor, ks) is acyclic on the
-    Grassmannian of rank-q quotients of (q + width)-dimensional space, read
-    off lam's size and prefix sums P_p without expanding it.  False means
-    only that the bound admits a weight with cohomology (see the module
-    docstring)."""
-    boxes = sum(lam)
-    if functor == "dual":
-        down, up, rise, total = 0, len(ks), sum(ks), boxes + sum(ks)
-    else:
-        down = len(ks) if functor == "wedge" else sum(ks)
-        up, rise, total = 0, 0, boxes - sum(ks)
-    # p rows above the window, each at least width + p and summing to at
-    # most P_p + rise_p, and q - p rows below it, each at most p and at
-    # least -down.
-    top = 0  # P_p
-    for p in range(q + 1):
-        reach = top + min(p * up, rise)
-        least = p * (width + p)
-        if (least <= reach
-                and least - (q - p) * down <= total <= reach + (q - p) * p):
-            return False
-        top += sum(lam[2 * p:2 * p + 2])
-    return True
-
-
 def _g2_piece(data: EmbeddingData, functor: str, ks: tuple,
               lam: tuple) -> tuple:
     """The G2 factor of the Cauchy piece lam twisted by (functor, ks), as
-    {degree: dim} items; () without expanding lam when _g2_acyclic rules
-    it out.  Memoized on the embedding."""
+    {degree: dim} items.  Memoized on the embedding."""
     key = (G2, functor, ks, lam)
     dims2 = data._pieces.get(key)
     if dims2 is None:
-        dims2 = ()
-        if not _g2_acyclic(lam, data.q2, data.d2 - data.q2, functor, ks):
-            zeros2 = (0,) * (data.d2 - data.q2)
-            quots = _quotient_weights(double_bundle_expand(lam, data.q2),
-                                      data.q2, functor, ks).items()
-            dims2 = tuple(_factor_dims(data.d2, quots, zeros2).items())
-        data._pieces[key] = dims2
+        quots = _quotient_weights(double_bundle_expand(lam, data.q2),
+                                  data.q2, functor, ks).items()
+        dims2 = data._pieces[key] = tuple(
+            _factor_dims(data.d2, quots, (0,) * (data.d2 - data.q2)).items())
     return dims2
 
 
@@ -508,15 +536,17 @@ def term_profiles(data: EmbeddingData, sheaf: TautologicalSheaf):
     Each profile equals term_cohomology(resolution_terms(data, sheaf, ell)),
     computed by factored Kunneth (see the module docstring).  The factor
     cohomology of the Cauchy pieces is read from the embedding's memo,
-    filled on first use: every term's live pieces with their G1 factors
-    per G1 twist, the G2 factor per (G2 twist, lam).  Only their
-    convolution is done per sheaf.  Every weight is a padded Cauchy
-    transpose, a zero weight or a Pieri output, valid by construction, so
-    none is checked here; only the sheaf is, at the entry.
+    filled on first use: per pair (G1 twist, G2 twist), every term's
+    pieces live on G1 and admitted by the G2 test, with their G1 factors;
+    per (G2 twist, lam), the G2 factor, expanded for the admitted pieces
+    only.  Only their convolution is done per sheaf.  Every weight is a
+    padded Cauchy transpose, a zero weight or a Pieri output, valid by
+    construction, so none is checked here; only the sheaf is, at the
+    entry.
     """
     _validate_sheaf(data, sheaf)
-    twist2 = _twist(sheaf, G2)
-    for ell, live in enumerate(_g1_live_pieces(data, *_twist(sheaf, G1))):
+    twist1, twist2 = _twist(sheaf, G1), _twist(sheaf, G2)
+    for ell, live in enumerate(_g1_live_pieces(data, twist1, twist2)):
         dims: dict = {}
         for lam, dims1 in live:
             dims2 = _g2_piece(data, *twist2, lam)

@@ -12,13 +12,22 @@ it lists every pair (lam^T, lam) of every term with cauchy_wedge and keeps
 those whose twisted G1 factor has cohomology by Borel-Weil-Bott.  The two
 share the twist's quotient weights and the Borel-Weil-Bott step, but the
 scan runs that step on every piece to decide which are live, where the
-walk decides by its per-row rule and never lists a dead piece.
+walk decides by its per-row rule and never lists a dead piece.  The G2
+test of lam itself, g2_admits, is the walk's branch cut at rest = 0, fed
+the prefix sums of lam that the walk carries as running sums.
 """
 
 from functools import lru_cache
 
 from quotcoh.partitions import pad
-from quotcoh.quot import G1, _factor_dims, _quotient_weights, _twist
+from quotcoh.quot import (
+    G1,
+    _factor_dims,
+    _g2_admits,
+    _g2_bound,
+    _quotient_weights,
+    _twist,
+)
 from quotcoh.schur import cauchy_wedge
 
 
@@ -132,3 +141,10 @@ def g1_scan(data, sheaf) -> list:
                 pieces.append((lam, tuple(sorted(dims1.items()))))
         live.append(sorted(pieces))
     return live
+
+
+def g2_admits(lam: tuple, q: int, width: int, functor: str, ks: tuple) -> bool:
+    """The G2 test on lam itself: the walk's cut with no rows to come, fed
+    lam's size and prefix sums P_p = lam_1 + ... + lam_{2p}, p = 0..q."""
+    tops = [sum(lam[:2 * p]) for p in range(q + 1)]
+    return _g2_admits(_g2_bound(q, width, functor, ks), tops, sum(lam), 0, 0)

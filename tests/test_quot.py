@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -23,7 +24,7 @@ from quotcoh.quot import (
     verify_theorem,
     wedge_power,
 )
-from oracles import g1_scan
+from oracles import g1_scan, g2_admits
 
 
 def test_embedding_examples():
@@ -166,8 +167,8 @@ def _g2_twists(q):
 
 
 def test_g2_bound_skips_only_acyclic_factors():
-    # _g2_acyclic against the full expansion, twist and Borel-Weil-Bott of
-    # the G2 factor on G(q + width, q)
+    # the walk's G2 test at rest = 0 against the full expansion, twist and
+    # Borel-Weil-Bott of the G2 factor on G(q + width, q)
     skipped = acyclic = 0
     for q in range(1, 5):
         lams = [lam for total in range(9)
@@ -179,7 +180,7 @@ def test_g2_bound_skips_only_acyclic_factors():
                 for functor, ks in _g2_twists(q):
                     quots = quot._quotient_weights(dual, q, functor, ks)
                     dims = quot._factor_dims(q + width, quots.items(), zeros)
-                    skip = quot._g2_acyclic(lam, q, width, functor, ks)
+                    skip = not g2_admits(lam, q, width, functor, ks)
                     assert not (skip and dims), (lam, q, width, functor, ks)
                     skipped += skip
                     acyclic += not dims
@@ -228,6 +229,32 @@ def test_only_g2_factors_with_cohomology_are_expanded(monkeypatch):
     # of which 13 are acyclic
     assert len(sent) >= 10
     assert [x for x in sent if not x[-1]] == []
+
+
+def test_walk_emits_only_g2_factors_with_cohomology(monkeypatch):
+    # The series' embeddings (2, n, 0, 6), n = 0..6, under wedge^0..n on
+    # G2: the walk cuts every piece the G2 test rules out, so each piece it
+    # emits reaches _g2_piece, is expanded there and has cohomology.  (A
+    # walk that emitted every piece live on G1 would send 14,798.)
+    calls, expanded = [], []
+    real_expand, real_piece = quot.double_bundle_expand, quot._g2_piece
+
+    def expand(lam, n):
+        expanded.append(lam)
+        return real_expand(lam, n)
+
+    def piece(data, functor, ks, lam):
+        calls.append(real_piece(data, functor, ks, lam))
+        return calls[-1]
+
+    monkeypatch.setattr(quot, "double_bundle_expand", expand)
+    monkeypatch.setattr(quot, "_g2_piece", piece)
+    for n in range(7):
+        data = embedding_data(2, None, n, 0, 6)
+        for k in range(n + 1):
+            quot_cohomology(data, wedge_power(k, G2))
+    assert len(calls) == len(expanded) == 28
+    assert all(calls)
 
 
 def test_piece_memo_dies_with_its_embedding():
@@ -283,8 +310,8 @@ def test_reference_terms_leave_the_memo_empty():
 
 
 def test_one_g1_entry_per_twist():
-    # every term's live pieces of one G1 twist share one entry, and no key
-    # names a term
+    # every term's pieces from the walk under one pair (G1 twist, G2 twist)
+    # share one entry, and no key names a term
     data = embedding_data(2, None, 2, 0, 2)
     sheaves = (sym_power(2, G1), sym_power(2, G1), wedge_power(1, G1),
                wedge_power(1, G2), dual_wedge_product(((1, G1), (1, G2))),
@@ -292,8 +319,11 @@ def test_one_g1_entry_per_twist():
     for sheaf in sheaves:
         quot_cohomology(data, sheaf)
     g1_keys = sorted(key for key in data._pieces if key[0] == G1)
-    assert g1_keys == [(G1, "dual", (1,)), (G1, "sym", (2,)),
-                       (G1, "wedge", ()), (G1, "wedge", (1,))]
+    assert g1_keys == [(G1, "dual", (1,), "dual", (1,)),
+                       (G1, "sym", (2,), "wedge", ()),
+                       (G1, "wedge", (), "wedge", ()),
+                       (G1, "wedge", (), "wedge", (1,)),
+                       (G1, "wedge", (1,), "wedge", ())]
     for key in g1_keys:
         assert len(data._pieces[key]) == data.rank_e + 1
     # the other keys are (G2, functor, ks, lam): no key holds an integer
@@ -319,25 +349,34 @@ def _g1_twisted_sheaves(q):
 
 def test_live_walk_matches_the_full_scan():
     # The walk builds only the Cauchy pieces whose G1 factor has
-    # cohomology; the reference lists every piece and runs Borel-Weil-Bott
-    # on each.  Embeddings with r = 0, with r >= 1 and on a split bundle.
+    # cohomology and whose G2 factor the G2 test admits; the reference lists
+    # every piece, runs Borel-Weil-Bott on each G1 factor and the G2 test on
+    # each lam.  Embeddings with r = 0, with r >= 1 and on a split bundle,
+    # under every pair of a G1 twist and a G2 twist, the identities included.
     cases = live = 0
+    admits = functools.cache(g2_admits)  # the G1 twists share most lam
     for args in ((2, None, 2, 0, 2), (3, None, 2, 0, 2), (4, None, 2, 0, 2),
                  (2, None, 3, 0, 3), (3, None, 2, 1, 3), (2, None, 3, 1, 4),
                  (3, None, 1, 1, 1), (2, (1, 0), 2, 0, 2),
                  (2, (1, 0), 2, 1, 3)):
         data = embedding_data(*args)
+        q2, width = data.q2, data.d2 - data.q2
         for sheaf in _g1_twisted_sheaves(data.q1):
-            walked = quot._g1_live_pieces(data, *quot._twist(sheaf, G1))
+            twist1 = quot._twist(sheaf, G1)
             scanned = g1_scan(data, sheaf)
-            assert len(walked) == len(scanned) == data.rank_e + 1
-            for ell, pieces in enumerate(walked):
-                got = sorted((lam, tuple(sorted(dims)))
-                             for lam, dims in pieces)
-                assert got == scanned[ell], (args, sheaf, ell)
-                cases += 1
-                live += len(got)
-    assert cases >= 2000 and live >= 6000, (cases, live)
+            for twist2 in _g2_twists(q2):
+                walked = quot._g1_live_pieces(data, twist1, twist2)
+                assert len(walked) == len(scanned) == data.rank_e + 1
+                for ell, pieces in enumerate(walked):
+                    got = sorted((lam, tuple(sorted(dims)))
+                                 for lam, dims in pieces)
+                    want = [x for x in scanned[ell]
+                            if admits(x[0], q2, width, *twist2)]
+                    assert got == want, (args, sheaf, twist2, ell)
+                    cases += 1
+                    live += len(got)
+    # 56,088 cases and 9,487 pieces emitted
+    assert cases >= 56000 and live >= 9400, (cases, live)
 
 
 # (functor, ks, sides) -> (chi, dims, the nonzero term profiles), computed
