@@ -109,17 +109,18 @@ their factor cohomology is memoized on the EmbeddingData, keyed by each
 side's twist, (functor, ks) over its factors of positive degree (the
 identity twist when there are none):
 
-* per pair (G1 twist, G2 twist): for every term ell, the pieces the walk
-  emits, each as lam with its G1 {degree: dim} items;
+* per pair (G1 twist, G2 twist): every term the walk left pieces in, as
+  (ell, pieces), each piece lam with its G1 {degree: dim} items;
 * per (G2 twist, lam): the G2 factor's {degree: dim} items.
 
-The walk's output depends on both twists, hence the pair key; the cut
-makes a walk per pair cheaper than keeping every piece live on G1 and
-filtering it per G2 twist.  Only the Kunneth convolution is done per sheaf.
-The memo is exact: an entry depends only on the embedding, the twists and
-lam, which its scope and key fix.  Degree-0 factors are trivial bundles and
-leave the key.  The memo is freed with the embedding and takes no part in
-its equality, hash or repr.
+A term the walk left no piece in is acyclic: it takes no slot, and
+term_profiles yields one shared empty profile for it, so a sheaf pays only
+for its few terms with pieces, not for all rank E + 1.  The walk's output
+depends on both twists, hence the pair key; the cut makes a walk per pair
+cheaper than filtering every piece live on G1 per G2 twist.  Only the
+Kunneth convolution is done per sheaf.  The memo is exact: an entry depends
+only on the embedding, the twists and lam, which its scope and key fix.
+Degree-0 factors leave the key, and it is freed with the embedding.
 """
 
 from dataclasses import dataclass, field
@@ -322,10 +323,11 @@ _IDENTITY = ("wedge", ())
 
 def _twist(sheaf: TautologicalSheaf, side: str) -> tuple:
     """The sheaf's twist on one side, as (functor, ks): the degrees of the
-    factors whose twist is realized there.  A degree-0 factor is the trivial
-    bundle, whose Pieri twist leaves every weight as it is, so it is left
-    out, and a side left with no factors gets the identity twist."""
-    ks = tuple(k for k, s in zip(sheaf.ks, sheaf.sides) if s == side and k)
+    factors whose twist is realized there, in descending order, since the
+    factors of a tensor product commute.  A degree-0 factor is the trivial
+    bundle, so it is left out, and a side left with none gets the identity."""
+    ks = tuple(sorted((k for k, s in zip(sheaf.ks, sheaf.sides)
+                       if s == side and k), reverse=True))
     return (sheaf.functor, ks) if ks else _IDENTITY
 
 
@@ -393,6 +395,10 @@ class CohomologyProfile:
     @property
     def is_zero(self) -> bool:
         return not self.dims
+
+
+# The profile of every term the walk leaves no piece in.
+_ACYCLIC = CohomologyProfile(())
 
 
 def term_cohomology(term: ResolutionTerm) -> CohomologyProfile:
@@ -481,17 +487,17 @@ def _fill_live(out, stack, boxes, tops, largest, forbidden, zero_ok, bound):
 
 
 def _g1_live_pieces(data: EmbeddingData, twist1, twist2) -> tuple:
-    """For each term ell, the Cauchy pieces whose G1 factor, S_{lam^T}(A1)
-    twisted by twist1 = (functor, ks), has cohomology and whose G2 factor
-    under twist2 the G2 test admits, as (lam, G1 {degree: dim} items).
-    Memoized on the embedding per pair of twists.
+    """The Cauchy pieces whose G1 factor, S_{lam^T}(A1) twisted by
+    twist1 = (functor, ks), has cohomology and whose G2 factor under twist2
+    the G2 test admits, as (ell, pieces) for every term ell the walk left
+    pieces in, each piece (lam, G1 {degree: dim} items).  Memoized on the
+    embedding per pair of twists.
 
-    Only those pieces are built: one walk per quotient weight w of twist1
-    picks the rows of mu = lam^T that avoid w's forbidden values and cuts
-    every branch no completion of which the G2 test admits (see the module
-    docstring), all sizes at once, and a mu found under several weights is
-    kept once.  Only these mu are transposed and run through
-    Borel-Weil-Bott."""
+    One walk per quotient weight w of twist1 picks the rows of mu = lam^T
+    that avoid w's forbidden values and cuts every branch no completion of
+    which the G2 test admits (see the module docstring), all sizes at once;
+    a mu found under several weights is kept once.  Only these mu are
+    transposed and run through Borel-Weil-Bott."""
     key = (G1, *twist1, *twist2)
     live = data._pieces.get(key)
     if live is None:
@@ -508,11 +514,11 @@ def _g1_live_pieces(data: EmbeddingData, twist1, twist2) -> tuple:
             _fill_live(found, [], 0, [0] * (data.q2 + 1), 2 * data.q2,
                        forbidden, zero_ok, bound)
         live = data._pieces[key] = tuple(
-            tuple((transpose(mu),
-                   tuple(_factor_dims(data.d1, quots,
-                                      pad(mu, sub_len)).items()))
-                  for mu in mus)
-            for mus in found)
+            (ell, tuple((transpose(mu),
+                         tuple(_factor_dims(data.d1, quots,
+                                            pad(mu, sub_len)).items()))
+                        for mu in mus))
+            for ell, mus in enumerate(found) if mus)
     return live
 
 
@@ -536,19 +542,21 @@ def term_profiles(data: EmbeddingData, sheaf: TautologicalSheaf):
     Each profile equals term_cohomology(resolution_terms(data, sheaf, ell)),
     computed by factored Kunneth (see the module docstring).  The factor
     cohomology of the Cauchy pieces is read from the embedding's memo,
-    filled on first use: per pair (G1 twist, G2 twist), every term's
-    pieces live on G1 and admitted by the G2 test, with their G1 factors;
-    per (G2 twist, lam), the G2 factor, expanded for the admitted pieces
-    only.  Only their convolution is done per sheaf.  Every weight is a
-    padded Cauchy transpose, a zero weight or a Pieri output, valid by
-    construction, so none is checked here; only the sheaf is, at the
-    entry.
+    filled on first use: per pair (G1 twist, G2 twist), every term the walk
+    left pieces in, with their G1 factors; per (G2 twist, lam), the G2
+    factor, expanded for those pieces only.  Only their convolution is done
+    per sheaf; a term with no piece yields the shared empty profile.  Every
+    weight is valid by construction, so only the sheaf is checked.
     """
     _validate_sheaf(data, sheaf)
     twist1, twist2 = _twist(sheaf, G1), _twist(sheaf, G2)
-    for ell, live in enumerate(_g1_live_pieces(data, twist1, twist2)):
+    terms = dict(_g1_live_pieces(data, twist1, twist2))
+    for ell in range(data.rank_e + 1):
+        if ell not in terms:
+            yield ell, _ACYCLIC
+            continue
         dims: dict = {}
-        for lam, dims1 in live:
+        for lam, dims1 in terms[ell]:
             dims2 = _g2_piece(data, *twist2, lam)
             for i1, n1 in dims1:
                 for i2, n2 in dims2:
@@ -574,20 +582,13 @@ class QuotCohomology:
 
 def quot_cohomology(data: EmbeddingData,
                     sheaf: TautologicalSheaf) -> QuotCohomology:
-    """Stream the resolution term by term and aggregate."""
-    chi = 0
-    degenerate = True
-    term0: Optional[CohomologyProfile] = None
-    per_term = []
-    for ell, profile in term_profiles(data, sheaf):
-        per_term.append((ell, profile))
-        chi += (-1) ** ell * profile.chi
-        if ell == 0:
-            term0 = profile
-        elif not profile.is_zero:
-            degenerate = False
-    dims = term0.dims if degenerate else None
-    return QuotCohomology(chi, degenerate, dims, tuple(per_term))
+    """Resolve term by term and aggregate the terms with cohomology."""
+    per_term = tuple(term_profiles(data, sheaf))
+    live = [(ell, p) for ell, p in per_term if p.dims]
+    chi = sum((-1) ** ell * p.chi for ell, p in live)
+    degenerate = all(ell == 0 for ell, _ in live)
+    dims = per_term[0][1].dims if degenerate else None
+    return QuotCohomology(chi, degenerate, dims, per_term)
 
 
 @dataclass(frozen=True)

@@ -325,11 +325,48 @@ def test_one_g1_entry_per_twist():
                        (G1, "wedge", (), "wedge", (1,)),
                        (G1, "wedge", (1,), "wedge", ())]
     for key in g1_keys:
-        assert len(data._pieces[key]) == data.rank_e + 1
+        # one (ell, pieces) per term the walk left pieces in, in term order
+        ells = [ell for ell, _ in data._pieces[key]]
+        assert all(pieces for _, pieces in data._pieces[key])
+        assert ells == sorted(set(ells))
+        assert set(ells) <= set(range(data.rank_e + 1))
     # the other keys are (G2, functor, ks, lam): no key holds an integer
     assert len(data._pieces) > len(g1_keys)
     assert all(len(key) == 4 for key in data._pieces if key[0] == G2)
     assert not any(isinstance(x, int) for key in data._pieces for x in key)
+
+
+def test_memo_stores_only_terms_with_pieces():
+    # On the sweep's (4, 2, 0, 2), wedge^1 on G2 leaves pieces in 1 of its
+    # 25 terms: the pair entry holds that one, and every other term reads
+    # as the empty profile
+    data = embedding_data(4, None, 2, 0, 2)
+    sheaf = wedge_power(1, G2)
+    res = quot_cohomology(data, sheaf)
+    entry = data._pieces[(G1, *quot._twist(sheaf, G1),
+                          *quot._twist(sheaf, G2))]
+    assert 0 < len(entry) < data.rank_e + 1
+    assert all(pieces for _, pieces in entry)
+    assert [ell for ell, _ in res.per_term] == list(range(data.rank_e + 1))
+    stored = {ell for ell, _ in entry}
+    zero = [p for ell, p in res.per_term if ell not in stored]
+    assert len(zero) == data.rank_e + 1 - len(entry)
+    assert all(p == quot.CohomologyProfile(()) for p in zero)
+
+
+def test_dual_factor_order_shares_one_entry():
+    # the factors of a dual product commute, so both orders of one product
+    # read one pair entry and get one answer
+    data = embedding_data(4, None, 2, 0, 2)
+    first = quot_cohomology(data, dual_wedge_product(((1, G2), (2, G2))))
+    pairs = [key for key in data._pieces if key[0] == G1]
+    second = quot_cohomology(data, dual_wedge_product(((2, G2), (1, G2))))
+    assert [key for key in data._pieces if key[0] == G1] == pairs
+    assert pairs == [(G1, "wedge", (), "dual", (2, 1))]
+    assert first == second
+    cold = embedding_data(4, None, 2, 0, 2)
+    assert quot_cohomology(cold, dual_wedge_product(((2, G2), (1, G2)))) == \
+        first
 
 
 def _g1_twisted_sheaves(q):
@@ -366,10 +403,14 @@ def test_live_walk_matches_the_full_scan():
             scanned = g1_scan(data, sheaf)
             for twist2 in _g2_twists(q2):
                 walked = quot._g1_live_pieces(data, twist1, twist2)
-                assert len(walked) == len(scanned) == data.rank_e + 1
-                for ell, pieces in enumerate(walked):
+                stored = dict(walked)
+                assert len(stored) == len(walked)  # one entry per term
+                assert all(stored.values())  # no empty term is stored
+                assert set(stored) <= set(range(data.rank_e + 1))
+                assert len(scanned) == data.rank_e + 1
+                for ell in range(data.rank_e + 1):
                     got = sorted((lam, tuple(sorted(dims)))
-                                 for lam, dims in pieces)
+                                 for lam, dims in stored.get(ell, ()))
                     want = [x for x in scanned[ell]
                             if admits(x[0], q2, width, *twist2)]
                     assert got == want, (args, sheaf, twist2, ell)
