@@ -4,11 +4,12 @@ Every subcommand prints a single JSON document (or a flattened TSV) on
 stdout and reserves stderr for progress notes.  Integers are emitted as
 decimal strings so arbitrarily large values survive any JSON consumer, and
 key order is fixed for byte-stable output.  Exit codes: 0 on success or a
-verified claim, 1 when a claim check fails numerically, 2 on invalid input,
-3 on an internal fault: a consistency check inside the engine failed (an
-ArithmeticError or AssertionError), which no input should cause.  Exits 2
-and 3 print {"error": ...} on stdout, the message of exit 3 prefixed with
-"internal: ".
+verified claim, 1 when a claim check fails numerically, 2 on invalid input
+or an input too large for a recursive walk or an index (a RecursionError or
+OverflowError), 3 on an internal fault: a consistency check inside the
+engine failed (any other ArithmeticError, or an AssertionError), which no
+input should cause.  Exits 2 and 3 print {"error": ...} on stdout, the
+message of exit 3 prefixed with "internal: ".
 """
 
 import argparse
@@ -280,11 +281,17 @@ def _verify_grid(doc, verify, cases):
     return doc, not failures
 
 
+def _grid_partitions(args, r=0, k=None):
+    """The indexed partitions of a verify grid, at most --max-size boxes."""
+    if args.max_size is not None and args.max_size < 0:
+        raise ValueError("--max-size must be nonnegative")
+    return indices.indexed_partitions(args.d, args.n, r, args.max_size, k=k)
+
+
 def _cmd_prop_31(args):
     d, n = args.d, args.n
     cases = [((d, n, lam, k), (k,))
-             for lam, _ in indices.indexed_partitions(d, n, 0, args.max_size)
-             for k in range(n + 1)]
+             for lam, _ in _grid_partitions(args) for k in range(n + 1)]
     return _verify_grid({"d": d, "n": n}, indices.verify_wedge_vanishing,
                         cases)
 
@@ -295,7 +302,7 @@ def _cmd_prop_32(args):
     if sym_cap < 0:
         raise ValueError("--sym-cap must be nonnegative")
     cases = [((d, n, lam, k), (k,))
-             for lam, rep in indices.indexed_partitions(d, n, 0, args.max_size)
+             for lam, rep in _grid_partitions(args)
              for k in range((n if rep.index == n else sym_cap) + 1)]
     return _verify_grid({"d": d, "n": n}, indices.verify_sym_vanishing,
                         cases)
@@ -309,8 +316,7 @@ def _cmd_prop_33(args):
     # a failure lists the chained degrees, then k
     cases = [((d, n, r, lam, ks, args.mode, k), ks + ((k,) if plus else ()))
              for k in (range(n + 1) if plus else (None,))
-             for lam, _ in indices.indexed_partitions(d, n, r, args.max_size,
-                                                      k=k)
+             for lam, _ in _grid_partitions(args, r, k)
              for ks in product(range(n + 1), repeat=r - plus)]
     return _verify_grid({"d": d, "n": n, "r": r, "mode": args.mode},
                         indices.verify_dual_vanishing, cases)
@@ -480,6 +486,10 @@ def run(argv) -> int:
         doc, verified = args.func(args)
     except ValueError as exc:
         print(json.dumps({"error": str(exc)}))
+        return 2
+    except (RecursionError, OverflowError) as exc:
+        # an input too large for a recursive walk or for an index
+        print(json.dumps({"error": f"input too large: {exc}"}))
         return 2
     except (ArithmeticError, AssertionError) as exc:
         print(json.dumps({"error": f"internal: {exc}"}))

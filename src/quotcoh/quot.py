@@ -28,7 +28,7 @@ term_cohomology of that list is the reference the factored profiles are
 tested against.
 
 The live pieces, those whose G1 factor has cohomology, are built without
-listing the others (_g1_live_pieces).  On G1 = G(d1, q1), with s = d1 - q1
+listing the others (_live_pieces).  On G1 = G(d1, q1), with s = d1 - q1
 the rank of A1, the G1 factor of the piece lam under a quotient weight w
 of the G1 twist is S_w(B1) . S_mu(A1), mu = lam^T padded to s rows.
 Borel-Weil-Bott reads the concatenated weight (w, mu) plus the staircase
@@ -104,23 +104,22 @@ only pieces the test rejects.  At rest = 0 each bound is the value itself
 and the cut is the test on lam, which the walk runs wherever mu may end; so
 it emits exactly the pieces live on G1 and admitted on G2.
 
-Every sheaf resolved on one embedding meets the same Cauchy pieces, so
-their factor cohomology is memoized on the EmbeddingData, keyed by each
-side's twist, (functor, ks) over its factors of positive degree (the
-identity twist when there are none):
-
-* per pair (G1 twist, G2 twist): every term the walk left pieces in, as
-  (ell, pieces), each piece lam with its G1 {degree: dim} items;
-* per (G2 twist, lam): the G2 factor's {degree: dim} items.
-
-A term the walk left no piece in is acyclic: it takes no slot, and
-term_profiles yields one shared empty profile for it, so a sheaf pays only
-for its few terms with pieces, not for all rank E + 1.  The walk's output
-depends on both twists, hence the pair key; the cut makes a walk per pair
-cheaper than filtering every piece live on G1 per G2 twist.  Only the
-Kunneth convolution is done per sheaf.  The memo is exact: an entry depends
-only on the embedding, the twists and lam, which its scope and key fix.
-Degree-0 factors leave the key, and it is freed with the embedding.
+Every sheaf resolved on one embedding with the same twists has the same
+term profiles, so they are memoized on the EmbeddingData, one entry per
+pair of twists.  The key is (functor1, ks1, functor2, ks2), each side's
+twist (functor, ks) over its factors of positive degree (the identity
+twist when there are none).  The value is {ell: CohomologyProfile} for the
+terms with cohomology.  One pass fills it: the walk, Borel-Weil-Bott on
+each piece's G1 factor, the doubled expansion, Pieri twist and
+Borel-Weil-Bott of its G2 factor, and the Kunneth convolution.  A term
+missing from the entry is acyclic, and term_profiles yields one shared
+empty profile for it, so a sheaf pays only for its few terms with
+cohomology, not for all rank E + 1.  The walk's output depends on both
+twists, hence the pair key; the cut makes a walk per pair cheaper than
+filtering every piece live on G1 per G2 twist.  The memo is exact: an
+entry depends only on the embedding and the twists, which its scope and
+key fix.  Degree-0 factors leave the key, and it is freed with the
+embedding.
 """
 
 from dataclasses import dataclass, field
@@ -165,9 +164,9 @@ class EmbeddingData:
     q1: int = field(init=False)
     q2: int = field(init=False)
     rank_e: int = field(init=False)
-    # The memo of piece cohomology (see the module docstring).
-    _pieces: dict = field(init=False, default_factory=dict, compare=False,
-                          repr=False)
+    # The memo of term profiles (see the module docstring).
+    _profiles: dict = field(init=False, default_factory=dict, compare=False,
+                            repr=False)
 
     def __post_init__(self):
         splitting = tuple(sorted((int(a) for a in self.splitting),
@@ -397,7 +396,7 @@ class CohomologyProfile:
         return not self.dims
 
 
-# The profile of every term the walk leaves no piece in.
+# The profile of every term without cohomology.
 _ACYCLIC = CohomologyProfile(())
 
 
@@ -486,82 +485,69 @@ def _fill_live(out, stack, boxes, tops, largest, forbidden, zero_ok, bound):
             stack.pop()
 
 
-def _g1_live_pieces(data: EmbeddingData, twist1, twist2) -> tuple:
-    """The Cauchy pieces whose G1 factor, S_{lam^T}(A1) twisted by
-    twist1 = (functor, ks), has cohomology and whose G2 factor under twist2
-    the G2 test admits, as (ell, pieces) for every term ell the walk left
-    pieces in, each piece (lam, G1 {degree: dim} items).  Memoized on the
-    embedding per pair of twists.
+def _live_pieces(data: EmbeddingData, twist1, twist2):
+    """Yield (ell, lam, G1 {degree: dim}) for the Cauchy pieces whose G1
+    factor, S_{lam^T}(A1) twisted by twist1 = (functor, ks), has cohomology
+    and whose G2 factor under twist2 the G2 test admits, in term order.
 
     One walk per quotient weight w of twist1 picks the rows of mu = lam^T
     that avoid w's forbidden values and cuts every branch no completion of
     which the G2 test admits (see the module docstring), all sizes at once;
     a mu found under several weights is kept once.  Only these mu are
     transposed and run through Borel-Weil-Bott."""
-    key = (G1, *twist1, *twist2)
-    live = data._pieces.get(key)
-    if live is None:
-        q1, sub_len = data.q1, data.d1 - data.q1
-        quots = _quotient_weights({(): 1}, q1, *twist1).items()
-        bound = _g2_bound(data.q2, data.d2 - data.q2, *twist2)
-        found = [{} for _ in range(data.rank_e + 1)]
-        for w, _ in quots:
-            forbidden = {x + q1 - i for i, x in enumerate(w, 1)}
-            # zero_ok[j]: rows j..s of mu may all be 0.
-            zero_ok = [True] * (sub_len + 2)
-            for j in range(sub_len, 0, -1):
-                zero_ok[j] = zero_ok[j + 1] and -j not in forbidden
-            _fill_live(found, [], 0, [0] * (data.q2 + 1), 2 * data.q2,
-                       forbidden, zero_ok, bound)
-        live = data._pieces[key] = tuple(
-            (ell, tuple((transpose(mu),
-                         tuple(_factor_dims(data.d1, quots,
-                                            pad(mu, sub_len)).items()))
-                        for mu in mus))
-            for ell, mus in enumerate(found) if mus)
-    return live
+    q1, sub_len = data.q1, data.d1 - data.q1
+    quots = _quotient_weights({(): 1}, q1, *twist1).items()
+    bound = _g2_bound(data.q2, data.d2 - data.q2, *twist2)
+    found = [{} for _ in range(data.rank_e + 1)]
+    for w, _ in quots:
+        forbidden = {x + q1 - i for i, x in enumerate(w, 1)}
+        # zero_ok[j]: rows j..s of mu may all be 0.
+        zero_ok = [True] * (sub_len + 2)
+        for j in range(sub_len, 0, -1):
+            zero_ok[j] = zero_ok[j + 1] and -j not in forbidden
+        _fill_live(found, [], 0, [0] * (data.q2 + 1), 2 * data.q2,
+                   forbidden, zero_ok, bound)
+    for ell, mus in enumerate(found):
+        for mu in mus:
+            yield ell, transpose(mu), _factor_dims(data.d1, quots,
+                                                   pad(mu, sub_len))
 
 
-def _g2_piece(data: EmbeddingData, functor: str, ks: tuple,
-              lam: tuple) -> tuple:
-    """The G2 factor of the Cauchy piece lam twisted by (functor, ks), as
-    {degree: dim} items.  Memoized on the embedding."""
-    key = (G2, functor, ks, lam)
-    dims2 = data._pieces.get(key)
-    if dims2 is None:
-        quots = _quotient_weights(double_bundle_expand(lam, data.q2),
-                                  data.q2, functor, ks).items()
-        dims2 = data._pieces[key] = tuple(
-            _factor_dims(data.d2, quots, (0,) * (data.d2 - data.q2)).items())
-    return dims2
+def _fill_profiles(data: EmbeddingData, twist1, twist2) -> dict:
+    """{ell: CohomologyProfile} of the terms with cohomology under the G1
+    twist twist1 and the G2 twist twist2: each live piece's G2 factor is
+    expanded, twisted and run through Borel-Weil-Bott, and Kunneth sums the
+    products of the two factors' dimensions by total degree."""
+    q2, zeros2 = data.q2, (0,) * (data.d2 - data.q2)
+    terms: dict = {}
+    for ell, lam, dims1 in _live_pieces(data, twist1, twist2):
+        quots2 = _quotient_weights(double_bundle_expand(lam, q2), q2, *twist2)
+        dims2 = _factor_dims(data.d2, quots2.items(), zeros2)
+        dims = terms.setdefault(ell, {})
+        for i1, n1 in dims1.items():
+            for i2, n2 in dims2.items():
+                dims[i1 + i2] = dims.get(i1 + i2, 0) + n1 * n2
+    return {ell: CohomologyProfile(tuple(sorted(dims.items())))
+            for ell, dims in terms.items() if dims}
 
 
 def term_profiles(data: EmbeddingData, sheaf: TautologicalSheaf):
     """Yield (ell, CohomologyProfile) for every term of the resolution.
 
     Each profile equals term_cohomology(resolution_terms(data, sheaf, ell)),
-    computed by factored Kunneth (see the module docstring).  The factor
-    cohomology of the Cauchy pieces is read from the embedding's memo,
-    filled on first use: per pair (G1 twist, G2 twist), every term the walk
-    left pieces in, with their G1 factors; per (G2 twist, lam), the G2
-    factor, expanded for those pieces only.  Only their convolution is done
-    per sheaf; a term with no piece yields the shared empty profile.  Every
-    weight is valid by construction, so only the sheaf is checked.
+    computed by factored Kunneth (see the module docstring).  The profiles
+    are read from the embedding's memo, whose entry for the sheaf's pair of
+    twists holds the terms with cohomology and is filled on first use; every
+    other term yields the shared empty profile.  Every weight is valid by
+    construction, so only the sheaf is checked.
     """
     _validate_sheaf(data, sheaf)
-    twist1, twist2 = _twist(sheaf, G1), _twist(sheaf, G2)
-    terms = dict(_g1_live_pieces(data, twist1, twist2))
+    key = (*_twist(sheaf, G1), *_twist(sheaf, G2))
+    profiles = data._profiles.get(key)
+    if profiles is None:
+        profiles = data._profiles[key] = _fill_profiles(data, key[:2], key[2:])
     for ell in range(data.rank_e + 1):
-        if ell not in terms:
-            yield ell, _ACYCLIC
-            continue
-        dims: dict = {}
-        for lam, dims1 in terms[ell]:
-            dims2 = _g2_piece(data, *twist2, lam)
-            for i1, n1 in dims1:
-                for i2, n2 in dims2:
-                    dims[i1 + i2] = dims.get(i1 + i2, 0) + n1 * n2
-        yield ell, CohomologyProfile(tuple(sorted(dims.items())))
+        yield ell, profiles.get(ell, _ACYCLIC)
 
 
 @dataclass(frozen=True)

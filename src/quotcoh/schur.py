@@ -41,9 +41,9 @@ the pieces whose G1 factor has cohomology and never lists the pairs, so
 cauchy_wedge serves only the reference resolution_terms and the cauchy
 command, and checks the Cauchy identity on each list it builds.  The reuse
 among the sheaves resolved on one embedding sits higher still, in the
-memo of piece cohomology that quot keeps on each embedding and frees with
-it.  The direct-sum step is not cached: its one hot caller is the
-doubled-bundle expansion, whose own cache already holds the reuse.
+memo of term profiles per pair of twists that quot keeps on each embedding
+and frees with it.  The direct-sum step is not cached: its one hot caller
+is the doubled-bundle expansion, whose own cache already holds the reuse.
 
 The doubled-bundle expansion of S_lam(B* + B*), B of rank n, keeps only
 pieces with at most n rows, so n travels down as a row bound: the

@@ -261,6 +261,14 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2 and "--jobs" in doc["error"]
     code, doc = run_json(capsys, "index", "--lambda", "2,1", "--n", "-1")
     assert code == 2 and "n >= 0" in doc["error"]
+    # inputs too large for a recursive walk or for an index fail at once
+    for argv in (("lr", "--alpha", "1", "--beta", "1500", "--gamma", "1501"),
+                 ("cauchy", "--ell", "1500", "--rank-left", "1",
+                  "--rank-right", "1500"),
+                 ("series", "wedge", "--N", "2", "--degL", str(10 ** 20),
+                  "--nmax", str(10 ** 20))):
+        code, doc = run_json(capsys, *argv)
+        assert code == 2 and "input too large" in doc["error"], argv
 
     # a power takes --k, the dualized product --ks; the other kind's flags
     # are rejected, not ignored
@@ -311,6 +319,11 @@ def test_invalid_inputs_exit_2(capsys):
     code, doc = run_json(capsys, "verify", "prop-3.2", "--d",
                          "6", "--n", "2", "--sym-cap", "-1")
     assert code == 2 and "--sym-cap" in doc["error"]
+    for target, extra in (("prop-3.1", ()), ("prop-3.2", ()),
+                          ("prop-3.3", ("--r", "1"))):
+        code, doc = run_json(capsys, "verify", target, "--d", "7", "--n", "2",
+                             *extra, "--max-size", "-1")
+        assert code == 2 and "--max-size" in doc["error"], target
 
     # flags are never matched by prefix: --m is not --max-size, and --side
     # is not --sides

@@ -190,28 +190,33 @@ def test_g2_bound_skips_only_acyclic_factors():
     assert skipped > 6750 and skipped >= 0.96 * acyclic
 
 
-def test_only_g2_factors_with_cohomology_are_expanded(monkeypatch):
-    # The hot path pays for a doubled expansion only where the bound admits
-    # cohomology; on these embeddings every such factor has some.  Sheaves:
-    # wedge^k and sym^k on each side, and dualized products of 1..N-1
-    # factors with at most one on G1.
+def _record_g2_factors(monkeypatch):
+    """Record the {degree: dim} of every G2 factor the hot path expands: the
+    _factor_dims call that follows a doubled expansion reads its weights."""
     expanded, sent = [], []
-    real_expand, real_piece = quot.double_bundle_expand, quot._g2_piece
+    real_expand, real_dims = quot.double_bundle_expand, quot._factor_dims
 
     def expand(lam, n):
         expanded.append(lam)
         return real_expand(lam, n)
 
-    def piece(data, functor, ks, lam):
-        before = len(expanded)
-        dims2 = real_piece(data, functor, ks, lam)
-        if len(expanded) > before:
-            sent.append(((data.N, data.n, data.r, data.m), functor, ks, lam,
-                         dims2))
-        return dims2
+    def factor_dims(d, quots, sub):
+        dims = real_dims(d, quots, sub)
+        if expanded:
+            sent.append((expanded.pop(), dims))
+        return dims
 
     monkeypatch.setattr(quot, "double_bundle_expand", expand)
-    monkeypatch.setattr(quot, "_g2_piece", piece)
+    monkeypatch.setattr(quot, "_factor_dims", factor_dims)
+    return sent
+
+
+def test_only_g2_factors_with_cohomology_are_expanded(monkeypatch):
+    # The hot path pays for a doubled expansion only where the bound admits
+    # cohomology; on these embeddings every such factor has some.  Sheaves:
+    # wedge^k and sym^k on each side, and dualized products of 1..N-1
+    # factors with at most one on G1.
+    sent = _record_g2_factors(monkeypatch)
     for N, n, r, m in ((4, 2, 0, 2), (3, 2, 0, 2), (2, 3, 0, 3), (3, 1, 1, 2),
                        (3, 2, 1, 3)):
         data = embedding_data(N, None, n, r, m)
@@ -224,8 +229,8 @@ def test_only_g2_factors_with_cohomology_are_expanded(monkeypatch):
                         if [s for _, s in prod].count(G1) <= 1]
         for sheaf in sheaves:
             quot_cohomology(data, sheaf)
-    # 45 factors are sent, 17 of them on the r = 0 embeddings; without the
-    # cap of the dual twist's rise at sum(ks), (3, 1, 1, 2) alone sends 20,
+    # 64 factors are sent, 31 of them on the r = 0 embeddings; without the
+    # cap of the dual twist's rise at sum(ks), (3, 1, 1, 2) alone sends 22,
     # of which 13 are acyclic
     assert len(sent) >= 10
     assert [x for x in sent if not x[-1]] == []
@@ -234,33 +239,21 @@ def test_only_g2_factors_with_cohomology_are_expanded(monkeypatch):
 def test_walk_emits_only_g2_factors_with_cohomology(monkeypatch):
     # The series' embeddings (2, n, 0, 6), n = 0..6, under wedge^0..n on
     # G2: the walk cuts every piece the G2 test rules out, so each piece it
-    # emits reaches _g2_piece, is expanded there and has cohomology.  (A
-    # walk that emitted every piece live on G1 would send 14,798.)
-    calls, expanded = [], []
-    real_expand, real_piece = quot.double_bundle_expand, quot._g2_piece
-
-    def expand(lam, n):
-        expanded.append(lam)
-        return real_expand(lam, n)
-
-    def piece(data, functor, ks, lam):
-        calls.append(real_piece(data, functor, ks, lam))
-        return calls[-1]
-
-    monkeypatch.setattr(quot, "double_bundle_expand", expand)
-    monkeypatch.setattr(quot, "_g2_piece", piece)
+    # emits is expanded and has cohomology.  (A walk that emitted every
+    # piece live on G1 would send 14,798.)
+    sent = _record_g2_factors(monkeypatch)
     for n in range(7):
         data = embedding_data(2, None, n, 0, 6)
         for k in range(n + 1):
             quot_cohomology(data, wedge_power(k, G2))
-    assert len(calls) == len(expanded) == 28
-    assert all(calls)
+    assert len(sent) == 28
+    assert all(dims for _, dims in sent)
 
 
 def test_piece_memo_dies_with_its_embedding():
     data = embedding_data(2, None, 2, 0, 2)
     quot_cohomology(data, dual_wedge_product(((1, G1), (1, G2))))
-    assert data._pieces
+    assert data._profiles
     ref = weakref.ref(data)
     del data
     gc.collect()
@@ -306,67 +299,73 @@ def test_reference_terms_leave_the_memo_empty():
     for ell in range(data.rank_e + 1):
         resolution_terms(data, sym_power(2, G1), ell)
         resolution_terms(data, dual_wedge_product(((1, G1), (1, G2))), ell)
-    assert data._pieces == {}
+    assert data._profiles == {}
 
 
-def test_one_g1_entry_per_twist():
-    # every term's pieces from the walk under one pair (G1 twist, G2 twist)
-    # share one entry, and no key names a term
+def test_one_entry_per_twist_pair():
+    # every term of every sheaf under one pair (G1 twist, G2 twist) shares
+    # one entry, keyed by the two twists alone: no key names a term.  The
+    # walk leaves pieces in term 3 of sym^3 on G2 whose G2 factors are all
+    # acyclic, and the entry leaves that term out.
     data = embedding_data(2, None, 2, 0, 2)
     sheaves = (sym_power(2, G1), sym_power(2, G1), wedge_power(1, G1),
                wedge_power(1, G2), dual_wedge_product(((1, G1), (1, G2))),
-               wedge_power(0, G1))
+               wedge_power(0, G1), sym_power(3, G2))
     for sheaf in sheaves:
         quot_cohomology(data, sheaf)
-    g1_keys = sorted(key for key in data._pieces if key[0] == G1)
-    assert g1_keys == [(G1, "dual", (1,), "dual", (1,)),
-                       (G1, "sym", (2,), "wedge", ()),
-                       (G1, "wedge", (), "wedge", ()),
-                       (G1, "wedge", (), "wedge", (1,)),
-                       (G1, "wedge", (1,), "wedge", ())]
-    for key in g1_keys:
-        # one (ell, pieces) per term the walk left pieces in, in term order
-        ells = [ell for ell, _ in data._pieces[key]]
-        assert all(pieces for _, pieces in data._pieces[key])
-        assert ells == sorted(set(ells))
-        assert set(ells) <= set(range(data.rank_e + 1))
-    # the other keys are (G2, functor, ks, lam): no key holds an integer
-    assert len(data._pieces) > len(g1_keys)
-    assert all(len(key) == 4 for key in data._pieces if key[0] == G2)
-    assert not any(isinstance(x, int) for key in data._pieces for x in key)
+    assert sorted(data._profiles) == [("dual", (1,), "dual", (1,)),
+                                      ("sym", (2,), "wedge", ()),
+                                      ("wedge", (), "sym", (3,)),
+                                      ("wedge", (), "wedge", ()),
+                                      ("wedge", (), "wedge", (1,)),
+                                      ("wedge", (1,), "wedge", ())]
+    assert not any(isinstance(x, int) for key in data._profiles for x in key)
+    for entry in data._profiles.values():
+        # one profile per term with cohomology, in term order
+        assert list(entry) == sorted(entry)
+        assert set(entry) <= set(range(data.rank_e + 1))
+        assert all(not p.is_zero for p in entry.values())
 
 
 def test_memo_stores_only_terms_with_pieces():
-    # On the sweep's (4, 2, 0, 2), wedge^1 on G2 leaves pieces in 1 of its
+    # On the sweep's (4, 2, 0, 2), wedge^1 on G2 has cohomology in 1 of its
     # 25 terms: the pair entry holds that one, and every other term reads
-    # as the empty profile
+    # as the shared empty profile
     data = embedding_data(4, None, 2, 0, 2)
     sheaf = wedge_power(1, G2)
     res = quot_cohomology(data, sheaf)
-    entry = data._pieces[(G1, *quot._twist(sheaf, G1),
-                          *quot._twist(sheaf, G2))]
+    entry = data._profiles[(*quot._twist(sheaf, G1), *quot._twist(sheaf, G2))]
     assert 0 < len(entry) < data.rank_e + 1
-    assert all(pieces for _, pieces in entry)
     assert [ell for ell, _ in res.per_term] == list(range(data.rank_e + 1))
-    stored = {ell for ell, _ in entry}
-    zero = [p for ell, p in res.per_term if ell not in stored]
+    assert {ell: p for ell, p in res.per_term if not p.is_zero} == entry
+    zero = [p for ell, p in res.per_term if ell not in entry]
     assert len(zero) == data.rank_e + 1 - len(entry)
-    assert all(p == quot.CohomologyProfile(()) for p in zero)
+    assert all(p is quot._ACYCLIC for p in zero)
 
 
-def test_dual_factor_order_shares_one_entry():
+def test_memo_hit_runs_no_walk_and_no_expansion(monkeypatch):
     # the factors of a dual product commute, so both orders of one product
-    # read one pair entry and get one answer
-    data = embedding_data(4, None, 2, 0, 2)
-    first = quot_cohomology(data, dual_wedge_product(((1, G2), (2, G2))))
-    pairs = [key for key in data._pieces if key[0] == G1]
-    second = quot_cohomology(data, dual_wedge_product(((2, G2), (1, G2))))
-    assert [key for key in data._pieces if key[0] == G1] == pairs
-    assert pairs == [(G1, "wedge", (), "dual", (2, 1))]
-    assert first == second
-    cold = embedding_data(4, None, 2, 0, 2)
-    assert quot_cohomology(cold, dual_wedge_product(((2, G2), (1, G2)))) == \
-        first
+    # read one entry; the second order finds it filled, so it neither walks
+    # nor expands, and gets the answer of a cold embedding
+    def refuse(*args):
+        raise AssertionError("a memo hit walked or expanded")
+
+    first_order = ((1, G2), (2, G2), (1, G1))
+    second_order = ((1, G1), (2, G2), (1, G2))
+    data = embedding_data(3, None, 1, 1, 2)
+    first = quot_cohomology(data, dual_wedge_product(first_order))
+    key = ("dual", (1,), "dual", (2, 1))
+    assert list(data._profiles) == [key]
+    entry = data._profiles[key]
+    assert len(entry) == 5  # the hit has terms to read
+    with monkeypatch.context() as patch:
+        patch.setattr(quot, "_fill_live", refuse)
+        patch.setattr(quot, "double_bundle_expand", refuse)
+        second = quot_cohomology(data, dual_wedge_product(second_order))
+    assert list(data._profiles) == [key] and data._profiles[key] is entry
+    cold = quot_cohomology(embedding_data(3, None, 1, 1, 2),
+                           dual_wedge_product(second_order))
+    assert first == second == cold
 
 
 def _g1_twisted_sheaves(q):
@@ -402,15 +401,12 @@ def test_live_walk_matches_the_full_scan():
             twist1 = quot._twist(sheaf, G1)
             scanned = g1_scan(data, sheaf)
             for twist2 in _g2_twists(q2):
-                walked = quot._g1_live_pieces(data, twist1, twist2)
-                stored = dict(walked)
-                assert len(stored) == len(walked)  # one entry per term
-                assert all(stored.values())  # no empty term is stored
-                assert set(stored) <= set(range(data.rank_e + 1))
+                walked = [[] for _ in range(data.rank_e + 1)]
+                for ell, lam, dims in quot._live_pieces(data, twist1, twist2):
+                    walked[ell].append((lam, tuple(sorted(dims.items()))))
                 assert len(scanned) == data.rank_e + 1
                 for ell in range(data.rank_e + 1):
-                    got = sorted((lam, tuple(sorted(dims)))
-                                 for lam, dims in stored.get(ell, ()))
+                    got = sorted(walked[ell])
                     want = [x for x in scanned[ell]
                             if admits(x[0], q2, width, *twist2)]
                     assert got == want, (args, sheaf, twist2, ell)
@@ -482,7 +478,7 @@ def test_warm_embedding_equals_cold():
     warm = embedding_data(2, (1, 0), 2, 0, 2)
     cold = embedding_data(2, (1, 0), 2, 0, 2)
     quot_cohomology(warm, sym_power(2, G1))
-    assert warm._pieces and not cold._pieces
+    assert warm._profiles and not cold._profiles
     assert warm == cold
     assert hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
