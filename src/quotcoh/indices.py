@@ -10,20 +10,24 @@ witnessed at column i.
 
 The verify_* functions certify this summand by summand on explicit inputs
 and return full records rather than booleans, so failures stay diagnosable.
+
+Inputs are checked once, at the public boundary.  n_index, kn_index and the
+verify_* functions normalize lam and check their arguments; after that the
+index is read from lam's columns by the one column loop, and _certify runs
+on trusted values: it reads schur's cached doubled expansion as stored and
+twists it through schur's unchecked Pieri chain.  Borel-Weil-Bott still
+runs on every summand, and the expansion's dimension identity on every
+fill.  indexed_partitions lists the grids' inputs from one walk of the
+box, by increasing size.
 """
 
 from dataclasses import dataclass
+from operator import neg
 from typing import Optional
 
 from .bott import bwb_weight
-from .partitions import (
-    as_partition,
-    negate_reverse,
-    part,
-    transpose,
-    enumerate_in_box,
-)
-from .schur import double_bundle_expand, double_bundle_triples, pieri_twist
+from .partitions import as_partition, box_by_size, part, transpose
+from .schur import _double_bundle_cached, _pieri_chain, double_bundle_triples
 
 SHAPE_PLAIN = "plain"
 SHAPE_A = "a"
@@ -49,18 +53,38 @@ def _column_index(cols: tuple, n: int, k: int) -> Optional[int]:
     return best
 
 
+def _check_index_args(lam: tuple, n: int, k: Optional[int]):
+    # The arguments n_index (k None) and kn_index reject; lam is normalized.
+    if k is None:
+        if n < 0:
+            raise ValueError(f"need n >= 0, got n={n}")
+        if not lam:
+            raise ValueError("the empty partition has no index")
+        return
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if not lam or lam == (1,) * k:
+        raise ValueError(f"the index of {lam} is undefined by fiat")
+
+
+def _report(cols: tuple, n: int, k: Optional[int]) -> IndexReport:
+    # The index of the partition with columns cols: plain when k is None,
+    # else the k-variant with its shape.
+    best = _column_index(cols, n, k or 0)
+    if best is None:
+        return IndexReport(False)
+    if k is None:
+        return IndexReport(True, best, SHAPE_PLAIN)
+    shape = SHAPE_B if part(cols, best + 1) == k + best else SHAPE_A
+    return IndexReport(True, best, shape)
+
+
 def n_index(lam, n: int) -> IndexReport:
     """Largest j whose column has >= n + j boxes, defined only when every
     column has either < j or >= n + j boxes."""
     lam = as_partition(lam)
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n={n}")
-    if not lam:
-        raise ValueError("the empty partition has no index")
-    best = _column_index(transpose(lam), n, 0)
-    if best is None:
-        return IndexReport(False)
-    return IndexReport(True, best, SHAPE_PLAIN)
+    _check_index_args(lam, n, None)
+    return _report(transpose(lam), n, None)
 
 
 def kn_index(lam, k: int, n: int) -> IndexReport:
@@ -70,17 +94,8 @@ def kn_index(lam, k: int, n: int) -> IndexReport:
     recovers the plain index.
     """
     lam = as_partition(lam)
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if not lam or lam == (1,) * k:
-        raise ValueError(f"the index of {lam} is undefined by fiat")
-    cols = transpose(lam)
-    best = _column_index(cols, n, k)
-    if best is None:
-        return IndexReport(False)
-    middle = part(cols, best + 1)
-    shape = SHAPE_B if middle == k + best else SHAPE_A
-    return IndexReport(True, best, shape)
+    _check_index_args(lam, n, k)
+    return _report(transpose(lam), n, k)
 
 
 @dataclass(frozen=True)
@@ -112,15 +127,20 @@ def _certify(d, n, lam, index, kind, functor, ks) -> VanishingRecord:
     summand against the window [index, d-n+index-1] at row index and
     against Borel-Weil-Bott on S_delta(B dual).
 
-    The callers have checked their arguments; each delta is a Pieri output
-    padded to n entries, so its bundle weight needs no second check.
+    This is the trusted side of the certificates: the verify_* callers have
+    checked and normalized every argument, so the cached expansion is read
+    as it is stored and twisted by the unchecked Pieri chain.  Each delta
+    comes out of a Pieri rule, padded to n entries, so neither it nor its
+    bundle weight is checked again.  The index is at most n, since a
+    column of the (2n)-row box has at most 2n boxes.
     """
-    deltas = pieri_twist(double_bundle_expand(lam, n), n, functor, ks)
+    deltas = _pieri_chain(_double_bundle_cached(lam, n), n, functor, ks)
     zeros = (0,) * (d - n)
     hi = d - n + index - 1
     checks = tuple(
-        SummandCheck(delta, mult, index <= part(delta, index) <= hi,
-                     bwb_weight(d, negate_reverse(delta) + zeros) is None)
+        SummandCheck(delta, mult, index <= delta[index - 1] <= hi,
+                     bwb_weight(d, tuple(map(neg, delta[::-1])) + zeros)
+                     is None)
         for delta, mult in sorted(deltas.items(), reverse=True))
     return VanishingRecord(d, n, lam, index, kind, tuple(ks), checks,
                            all(c.ok for c in checks))
@@ -128,17 +148,21 @@ def _certify(d, n, lam, index, kind, functor, ks) -> VanishingRecord:
 
 def _indexed(d: int, n: int, r: int, lam, mode: Optional[str] = None,
              k: Optional[int] = None) -> tuple:
-    """The prologue every certificate shares: lam as a partition that fits
-    the (2n) x (d-n-r-1) box, with its index (the k-variant in plus mode)."""
+    """The prologue every certificate shares, and the one place it checks
+    lam: lam normalized once, fitting the (2n) x (d-n-r-1) box, with its
+    index (the k-variant in plus mode) read from its columns."""
     lam = as_partition(lam)
     rows, cols = 2 * n, d - n - r - 1
     if len(lam) > rows or (lam and lam[0] > cols):
         raise ValueError(f"{lam} does not fit in a {rows} x {cols} box")
-    rep = kn_index(lam, k, n) if mode == "plus" else n_index(lam, n)
-    if not rep.defined:
+    if mode != "plus":
+        k = None
+    _check_index_args(lam, n, k)
+    index = _column_index(transpose(lam), n, k or 0)
+    if index is None:
         where = "" if mode is None else f" in mode {mode}"
         raise ValueError(f"{lam} has no index for n={n}{where}")
-    return lam, rep.index
+    return lam, index
 
 
 def verify_wedge_vanishing(d: int, n: int, lam, k: int) -> VanishingRecord:
@@ -197,22 +221,26 @@ def verify_dual_vanishing(d: int, n: int, r: int, lam, ks,
 def indexed_partitions(d: int, n: int, r: int = 0,
                        max_size: Optional[int] = None,
                        k: Optional[int] = None) -> list:
-    """Nonzero partitions in the (2n) x (d-n-r-1) box carrying an index.
+    """Nonzero partitions in the (2n) x (d-n-r-1) box carrying an index, as
+    (lam, IndexReport) pairs by increasing size, each size in
+    enumerate_in_box's order.
 
     With k given, the k-variant index is used instead (skipping the inputs
-    it leaves undefined by fiat).
+    it leaves undefined by fiat).  One walk of the box lists every size.
     """
     rows, cols = 2 * n, d - n - r - 1
     cap = rows * cols if max_size is None else min(max_size, rows * cols)
+    if cap < 1:
+        return []
+    lams = box_by_size(rows, cols, 1, cap)
+    # kn_index's check on k, due once the box holds a partition.
+    if k is not None and lams and not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    skip = None if k is None else (1,) * k
     out = []
-    for total in range(1, cap + 1):
-        for lam in enumerate_in_box(rows, cols, total):
-            if k is None:
-                rep = n_index(lam, n)
-            else:
-                if lam == (1,) * k:
-                    continue
-                rep = kn_index(lam, k, n)
+    for lam in lams:
+        if lam != skip:
+            rep = _report(transpose(lam), n, k)
             if rep.defined:
                 out.append((lam, rep))
     return out

@@ -54,10 +54,14 @@ def transpose(lam) -> tuple:
     """Exchange rows and columns of the Young diagram.  Involutive."""
     if not lam:
         return ()
-    cols = [0] * lam[0]
-    for row in lam:
-        for j in range(row):
-            cols[j] += 1
+    # Column j + 1 holds one box per row longer than j; the rows decrease,
+    # so those are the first `rows` of them.
+    cols = []
+    rows = len(lam)
+    for j in range(lam[0]):
+        while lam[rows - 1] <= j:
+            rows -= 1
+        cols.append(rows)
     return tuple(cols)
 
 
@@ -113,7 +117,9 @@ def weyl_dim_uncached(w: tuple, d: int) -> int:
     """Dimension of the GL(d) representation with highest weight w.
 
     Computed by the Weyl formula prod_{i<j} (w_i - w_j + j - i) / (j - i),
-    over exact integers with a final integrality check.  weyl_dim caches it.
+    over exact integers with a final integrality check.  A pair with
+    w_i = w_j contributes exactly 1, so each i starts j past its run of
+    equal entries.  weyl_dim caches it.
     """
     if len(w) != d:
         raise ValueError(f"weight {w} does not have length {d}")
@@ -121,8 +127,13 @@ def weyl_dim_uncached(w: tuple, d: int) -> int:
         if a < b:
             raise ValueError(f"not weakly decreasing: {w}")
     num = den = 1
+    after_run = 0
     for i in range(d):
-        for j in range(i + 1, d):
+        if after_run <= i:
+            after_run = i + 1
+            while after_run < d and w[after_run] == w[i]:
+                after_run += 1
+        for j in range(after_run, d):
             num *= w[i] - w[j] + j - i
             den *= j - i
     q, r = divmod(num, den)
@@ -139,32 +150,49 @@ def enumerate_in_box(max_rows: int, max_cols: int, total: int) -> list:
     in decreasing lexicographic order."""
     if min(max_rows, max_cols, total) < 0:
         raise ValueError("arguments must be nonnegative")
-    out = []
-    _fill_box(out, [], total, max_cols, max_rows)
-    return out
+    return _walk_box(max_rows, max_cols, total, total)[0]
 
 
-def _fill_box(out, stack, remaining, largest, rows_left):
-    # The recursive walks in this package are module-level functions that
-    # take their state as arguments.  A nested function that calls itself
-    # is a reference cycle, so each call would leave its output behind for
-    # the cyclic collector instead of freeing it on return.
-    if remaining == 0:
-        out.append(tuple(stack))
-        return
-    if rows_left == 0 or largest * rows_left < remaining:
-        return
-    for p in range(min(largest, remaining), 0, -1):
-        stack.append(p)
-        _fill_box(out, stack, remaining - p, p, rows_left - 1)
-        stack.pop()
+def box_by_size(max_rows: int, max_cols: int, smallest: int,
+                largest: int) -> list:
+    """The partitions fitting in the box with smallest <= size <= largest,
+    grouped by increasing size, each size in enumerate_in_box's order.
+    One walk of the box lists every size."""
+    if min(max_rows, max_cols, smallest) < 0:
+        raise ValueError("arguments must be nonnegative")
+    return [lam for group in _walk_box(max_rows, max_cols, smallest, largest)
+            for lam in group]
+
+
+def _walk_box(rows, cols, lo, hi) -> list:
+    # One depth-first walk of the box, kept iterative so that a tall box
+    # costs no stack depth.  parts holds the rows chosen so far and p the
+    # next value to try for the row below them; values are tried from the
+    # largest down, so every size comes out in decreasing lexicographic
+    # order.  A value is tried only if the rows left can still reach lo.
+    # Returns the partitions of size lo + i in group i.
+    groups = [[] for _ in range(hi - lo + 1)]
+    if not groups:
+        return groups
+    if lo == 0:
+        groups[0].append(())
+    parts, total = [], 0
+    p = min(cols, hi) if rows else 0
+    while True:
+        if p and total + p * (rows - len(parts)) >= lo:
+            parts.append(p)
+            total += p
+            if total >= lo:
+                groups[total - lo].append(tuple(parts))
+            p = min(p, hi - total) if len(parts) < rows else 0
+        elif parts:
+            p = parts.pop()
+            total -= p
+            p -= 1
+        else:
+            return groups
 
 
 def all_in_box(max_rows: int, max_cols: int) -> list:
     """All partitions fitting in the box, grouped by increasing size."""
-    return [
-        lam
-        for total in range(max_rows * max_cols + 1)
-        for lam in enumerate_in_box(max_rows, max_cols, total)
-    ]
-
+    return box_by_size(max_rows, max_cols, 0, max_rows * max_cols)

@@ -138,7 +138,7 @@ from .partitions import (
     transpose,
     weyl_dim,
 )
-from .schur import cauchy_wedge, double_bundle_expand, pieri_twist
+from .schur import _pieri_chain, cauchy_wedge, double_bundle_expand
 
 G1 = "G1"
 G2 = "G2"
@@ -315,7 +315,7 @@ def _validate_sheaf(data: EmbeddingData, sheaf: TautologicalSheaf):
             raise ValueError("symmetric power of a rank-0 bundle")
 
 
-# The twist of a side with no factors: pieri_twist with no degrees leaves
+# The twist of a side with no factors: a Pieri chain with no degrees leaves
 # every weight as it is, whatever the functor.
 _IDENTITY = ("wedge", ())
 
@@ -334,8 +334,10 @@ def _quotient_weights(dual: dict, q: int, functor: str, ks: tuple) -> dict:
     """The dual-coordinate weights dual of a rank-q quotient twisted by
     (functor, ks), as {quotient weight: multiplicity} in ordinary
     coordinates.  On G1 dual is {(): 1}, so the twist is the whole weight;
-    on G2 it is the doubled expansion of S_lam(B2* + B2*)."""
-    twisted = pieri_twist(dual, q, functor, ks)
+    on G2 it is the doubled expansion of S_lam(B2* + B2*).  Both are built
+    by the engine and the sheaf's functor is checked when it is made, so
+    they go through schur's unchecked Pieri chain."""
+    twisted = _pieri_chain(dual.items(), q, functor, ks)
     return {negate_reverse(w): m for w, m in twisted.items()}
 
 

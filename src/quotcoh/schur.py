@@ -27,8 +27,10 @@ expansion that first asked for it.  The reuse sits one level up.  The
 tensor and doubled-bundle expansions are cached per input.  Their reuse
 comes mostly from the vanishing certificates of indices._certify: a
 grid certifies each lam under several twists, and its lam share their
-(alpha, beta) pairs (one pass of the benchmark's grid makes 466 hits and
-82 misses on the doubled expansion, 411 and 202 on the tensor step).
+(alpha, beta) pairs.  A certificate reads _double_bundle_cached's tuple
+uncopied, as indices checked lam at its boundary (one pass of the
+benchmark's grid makes 466 hits and 82 misses there, 411 and 202 on the
+tensor step).
 quot's hot path expands only the G2 factors its acyclicity bound lets
 through, nearly all with cohomology, so it expands few lam (a sweep pass
 14 factors over 2 lam, a series pass 60 over 3), each under several
@@ -60,6 +62,10 @@ The Pieri rules act directly on dominant weights with possibly negative
 entries; this is legitimate because both rules commute with twisting every
 entry by the same determinant power, the usual normalization that makes
 negative entries nonnegative.
+
+The public functions check their input, then call the unchecked cached
+rules; pieri_twist calls _pieri_chain, which indices and quot call
+directly on weights the engine built.
 """
 
 from functools import lru_cache
@@ -305,13 +311,14 @@ def _pieri_sym_cached(w, k, dualized) -> tuple:
 
 def _fill_interlacing(out, stack, w, dualized, j, left):
     r = len(w)
-    if j == r:
-        if left == 0:
-            out.append(tuple(stack))
+    if j == r - 1:
+        # The last entry takes what is left, if the interlacing allows it.
+        if dualized or not j or left <= w[j - 1] - w[j]:
+            out.append((*stack, w[j] - left if dualized else w[j] + left))
         return
     if dualized:
         # Drops interlace below w: w_j >= nu_j >= w_{j+1}.
-        cap = left if j == r - 1 else min(left, w[j] - w[j + 1])
+        cap = min(left, w[j] - w[j + 1])
     else:
         # Gains interlace above w: nu_j >= w_j >= nu_{j+1}.
         cap = left if j == 0 else min(left, w[j - 1] - w[j])
@@ -342,17 +349,22 @@ def pieri_twist(weights: dict, n: int, functor: str, ks) -> dict:
     """
     if functor not in ("wedge", "sym", "dual"):
         raise ValueError(f"unknown functor {functor!r}")
-    # Every later weight comes out of a Pieri rule already valid, so only
-    # the input is checked.
-    acc = {as_weight(pad(w, n)): mult for w, mult in weights.items()}
+    return _pieri_chain([(as_weight(pad(w, n)), mult)
+                         for w, mult in weights.items()], n, functor, ks)
+
+
+def _pieri_chain(pairs, n, functor, ks) -> dict:
+    # pieri_twist unchecked, on (weight, multiplicity) pairs the engine
+    # built: distinct dominant weights of at most n entries.
+    acc = {w + (0,) * (n - len(w)): mult for w, mult in pairs}
+    if functor == "sym":
+        rule, flag = _pieri_sym_cached, True
+    else:
+        rule, flag = _pieri_wedge_cached, functor == "wedge"
     for k in ks:
         step: dict = {}
         for w, mult in acc.items():
-            if functor == "sym":
-                summands = _pieri_sym_cached(w, k, True)
-            else:
-                summands = _pieri_wedge_cached(w, k, functor == "wedge")
-            for v in summands:
+            for v in rule(w, k, flag):
                 step[v] = step.get(v, 0) + mult
         acc = step
     return acc

@@ -263,12 +263,16 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2 and "n >= 0" in doc["error"]
     # inputs too large for a recursive walk or for an index fail at once
     for argv in (("lr", "--alpha", "1", "--beta", "1500", "--gamma", "1501"),
-                 ("cauchy", "--ell", "1500", "--rank-left", "1",
-                  "--rank-right", "1500"),
                  ("series", "wedge", "--N", "2", "--degL", str(10 ** 20),
                   "--nmax", str(10 ** 20))):
         code, doc = run_json(capsys, *argv)
         assert code == 2 and "input too large" in doc["error"], argv
+    # the box walk behind the Cauchy pairs needs no stack depth, so a tall
+    # box gets its one pair
+    code, doc = run_json(capsys, "cauchy", "--ell", "1500", "--rank-left",
+                         "1", "--rank-right", "1500")
+    assert code == 0 and len(doc["terms"]) == 1
+    assert len(doc["terms"][0]["right"]) == 1500
 
     # a power takes --k, the dualized product --ks; the other kind's flags
     # are rejected, not ignored

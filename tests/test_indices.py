@@ -1,7 +1,13 @@
+import itertools
+import json
+import sys
+
 import pytest
 
+from quotcoh import bott, cli, partitions, schur
 from quotcoh.bott import GrassmannianContext, bwb, quot_dual_bundle
 from quotcoh.indices import (
+    SummandCheck,
     _certify,
     indexed_partitions,
     kn_index,
@@ -17,6 +23,7 @@ from quotcoh.partitions import (
     part,
     transpose,
 )
+from quotcoh.schur import double_bundle_expand, pieri_twist
 
 
 def test_n_index_examples():
@@ -211,3 +218,136 @@ def test_lemma_triples_bounds_are_measured():
     for t in lemma_triples(d, n, lam):
         assert part(t.alpha, i) >= i
         assert part(t.gamma, n) >= 2 * n
+
+
+def _public_summands(d, n, index, functor, ks, lam):
+    # The summands of a certificate built from the checked public steps:
+    # the expansion, pieri_twist and Borel-Weil-Bott on the bundle itself.
+    ctx = GrassmannianContext(d, n)
+    deltas = pieri_twist(double_bundle_expand(lam, n), n, functor, ks)
+    hi = d - n + index - 1
+    return tuple(
+        SummandCheck(delta, mult, index <= part(delta, index) <= hi,
+                     bwb(quot_dual_bundle(ctx, delta)).vanishes)
+        for delta, mult in sorted(deltas.items(), reverse=True))
+
+
+def _grid_records(d, n):
+    # Every certificate of prop-3.1, prop-3.2 and both prop-3.3 modes at
+    # r = 1, 2, as the verify grids list them, with its functor.
+    for lam, rep in indexed_partitions(d, n):
+        for k in range(n + 1):
+            yield "wedge", verify_wedge_vanishing(d, n, lam, k)
+        for k in range((n if rep.index == n else 2 * n) + 1):
+            yield "sym", verify_sym_vanishing(d, n, lam, k)
+    for r in (1, 2):
+        for lam, _ in indexed_partitions(d, n, r):
+            for ks in itertools.product(range(n + 1), repeat=r):
+                yield "dual", verify_dual_vanishing(d, n, r, lam, ks)
+        for k in range(n + 1):
+            for lam, _ in indexed_partitions(d, n, r, k=k):
+                for ks in itertools.product(range(n + 1), repeat=r - 1):
+                    yield "dual", verify_dual_vanishing(d, n, r, lam, ks,
+                                                        "plus", k)
+
+
+def test_trusted_certificates_match_the_public_path():
+    # the certificates read the cached expansion and twist it unchecked;
+    # each record must equal the one the checked public steps build
+    kinds = set()
+    for d, n in ((6, 2), (7, 2), (7, 3), (8, 3)):
+        for functor, rec in _grid_records(d, n):
+            want = _public_summands(d, n, rec.index, functor, rec.ks,
+                                    rec.lam)
+            assert rec.summands == want, (d, n, rec.lam, rec.kind, rec.ks)
+            assert rec.ok == all(c.ok for c in want)
+            kinds.add(rec.kind)
+    assert kinds == {"wedge", "sym", "dual-plain", "dual-plus"}
+    # at rows other than lam's index some summands leave the window, and
+    # both paths must flag the same ones
+    outside = 0
+    for lam, _ in indexed_partitions(7, 3):
+        for i in range(1, 4):
+            rec = _certify(7, 3, lam, i, "wedge", "wedge", (1,))
+            want = _public_summands(7, 3, i, "wedge", (1,), lam)
+            assert rec.summands == want, (lam, i)
+            outside += sum(not c.in_window for c in want)
+    assert outside
+
+
+def _filtered_box(d, n, r, max_size, k):
+    # indexed_partitions spelled out: every size of the box in turn,
+    # filtered through the public n_index and kn_index
+    rows, cols = 2 * n, d - n - r - 1
+    cap = rows * cols if max_size is None else min(max_size, rows * cols)
+    out = []
+    for total in range(1, cap + 1):
+        for lam in enumerate_in_box(rows, cols, total):
+            if k is None:
+                rep = n_index(lam, n)
+            elif lam == (1,) * k:
+                continue
+            else:
+                rep = kn_index(lam, k, n)
+            if rep.defined:
+                out.append((lam, rep))
+    return out
+
+
+def test_indexed_partitions_match_the_filtered_box():
+    for d, n, r in ((5, 2, 0), (6, 2, 0), (7, 2, 1), (8, 3, 0), (9, 2, 2),
+                    (9, 3, 1), (4, 2, 1), (3, 1, 1)):
+        for max_size in (None, 0, 1, 3, 6, 11, 100):
+            for k in (None, *range(n + 1)):
+                assert indexed_partitions(d, n, r, max_size, k) \
+                    == _filtered_box(d, n, r, max_size, k), \
+                    (d, n, r, max_size, k)
+    with pytest.raises(ValueError, match="need 0 <= k <= n"):
+        indexed_partitions(6, 2, k=3)
+
+
+def _count_calls(monkeypatch, name) -> list:
+    # Replace name in every quotcoh module that binds it with a wrapper
+    # that records each call.
+    calls = []
+    real = getattr(partitions, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "quotcoh" and \
+                getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_grid_checks_each_input_once(monkeypatch, capsys):
+    # Certifying a grid normalizes each lam once, at the public boundary,
+    # and never re-checks a weight the engine built, cold caches included.
+    for cached in (schur._double_bundle_cached, schur._lr_expand_cached,
+                   schur._pieri_wedge_cached, schur._pieri_sym_cached,
+                   bott.bwb_weight, partitions.weyl_dim):
+        cached.cache_clear()
+    as_partition_calls = _count_calls(monkeypatch, "as_partition")
+    as_weight_calls = _count_calls(monkeypatch, "as_weight")
+    walks = []
+    real_walk = partitions._walk_box
+
+    def counted_walk(*args):
+        walks.append(args)
+        return real_walk(*args)
+
+    monkeypatch.setattr(partitions, "_walk_box", counted_walk)
+    assert cli.run(["verify", "prop-3.2", "--d", "8", "--n", "3"]) == 0
+    cases = int(json.loads(capsys.readouterr().out)["cases"])
+    assert cases > 100
+    assert 0 < len(as_partition_calls) <= cases
+    assert as_weight_calls == []
+    assert len(walks) == 1
+    # one walk of the box per call, whatever the sizes and k
+    for args in ((8, 3), (9, 2, 1, None, 1), (9, 3, 0, 7)):
+        walks.clear()
+        indexed_partitions(*args)
+        assert len(walks) == 1, args

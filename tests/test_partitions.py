@@ -5,15 +5,19 @@ from hypothesis import given, strategies as st
 
 from quotcoh.partitions import (
     add,
+    all_in_box,
     as_partition,
+    box_by_size,
     dominates,
     enumerate_in_box,
     negate_reverse,
     pad,
+    part,
     size,
     transpose,
     union,
     weyl_dim,
+    weyl_dim_uncached,
 )
 from oracles import ssyt_count
 
@@ -36,6 +40,11 @@ def test_transpose_examples():
     assert transpose(()) == ()
     # column heights of the 2-index example diagram
     assert transpose((8, 7, 4, 3, 3, 1)) == (6, 5, 5, 3, 2, 2, 2, 1)
+    assert transpose((1,) * 5) == (5,)
+    # column j counts the rows of length at least j
+    for lam in all_in_box(5, 5):
+        assert transpose(lam) == tuple(sum(1 for row in lam if row >= j)
+                                       for j in range(1, part(lam, 1) + 1))
 
 
 @given(partitions_st)
@@ -131,6 +140,50 @@ def test_enumerate_in_box_counts_and_order():
                 seen.extend(batch)
             assert len(seen) == len(set(seen))
             assert len(seen) == math.comb(rows + cols, rows)
+
+
+def test_enumerate_in_box_needs_no_stack_depth():
+    # a box 1500 rows tall is walked without one frame per row
+    assert enumerate_in_box(1500, 1, 1500) == [(1,) * 1500]
+    assert enumerate_in_box(1500, 2, 2999) == [(2,) * 1499 + (1,)]
+
+
+def test_box_by_size_is_the_sizes_in_turn():
+    for rows in range(5):
+        for cols in range(5):
+            for lo in range(4):
+                for hi in range(-1, rows * cols + 2):
+                    assert box_by_size(rows, cols, lo, hi) == [
+                        lam for s in range(lo, hi + 1)
+                        for lam in enumerate_in_box(rows, cols, s)]
+            assert all_in_box(rows, cols) == box_by_size(rows, cols, 0,
+                                                         rows * cols)
+    with pytest.raises(ValueError):
+        box_by_size(-1, 2, 0, 3)
+
+
+@given(st.lists(st.integers(-3, 3), max_size=40))
+def test_weyl_dim_matches_the_pairwise_product(entries):
+    # the Weyl formula over every pair i < j, equal entries included
+    w = tuple(sorted(entries, reverse=True))
+    num = den = 1
+    for i in range(len(w)):
+        for j in range(i + 1, len(w)):
+            num *= w[i] - w[j] + j - i
+            den *= j - i
+    assert num % den == 0
+    assert weyl_dim_uncached(w, len(w)) == num // den
+
+
+def test_weyl_dim_of_long_flat_weights():
+    # pairs of equal entries contribute 1 and are skipped, so a long weight
+    # with few distinct values is quick; wedge^k and sym^k of C^d check it
+    assert weyl_dim((1,) * 1500, 1500) == 1
+    assert weyl_dim((0,) * 400, 400) == 1
+    assert weyl_dim((1,) * 3 + (0,) * 397, 400) == math.comb(400, 3)
+    assert weyl_dim((5,) + (0,) * 399, 400) == math.comb(404, 5)
+    assert weyl_dim((2, 2) + (-1,) * 98, 100) == weyl_dim((3, 3) + (0,) * 98,
+                                                          100)
 
 
 def test_negate_reverse_involutive():

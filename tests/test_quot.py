@@ -275,14 +275,14 @@ def test_piece_memo_is_order_independent():
 def test_g1_weights_built_once_per_twist(monkeypatch):
     # every term of a G1-twisted sheaf reads the same quotient weights
     built = []
-    real = quot.pieri_twist
+    real = quot._pieri_chain
 
-    def record(weights, n, functor, ks):
-        if weights == {(): 1}:
+    def record(pairs, n, functor, ks):
+        if dict(pairs) == {(): 1}:
             built.append((functor, ks))
-        return real(weights, n, functor, ks)
+        return real(pairs, n, functor, ks)
 
-    monkeypatch.setattr(quot, "pieri_twist", record)
+    monkeypatch.setattr(quot, "_pieri_chain", record)
     data = embedding_data(2, None, 2, 0, 2)
     for sheaf in (sym_power(2, G1), sym_power(2, G1), wedge_power(1, G1)):
         quot_cohomology(data, sheaf)
