@@ -20,16 +20,11 @@ from functools import lru_cache
 from itertools import product
 
 from . import indices, series
-from .bott import (
-    GrassmannianContext,
-    HomogeneousBundle,
-    bwb,
-    cohomology_dims,
-    euler_char,
-)
+from .bott import GrassmannianContext, HomogeneousBundle, bwb
 from .quot import (
     G1,
     G2,
+    CohomologyProfile,
     TautologicalSheaf,
     check_conjecture,
     check_proposition_hypotheses,
@@ -174,16 +169,14 @@ def _cmd_cauchy(args):
 
 def _cmd_bwb(args):
     ctx = GrassmannianContext(args.d, args.n)
-    bundle = HomogeneousBundle(ctx, _parse_ints(args.quot),
-                               _parse_ints(args.sub))
-    res = bwb(bundle)
-    dims = cohomology_dims(bundle)
-    doc = {"vanishes": res.vanishes}
+    res = bwb(HomogeneousBundle(ctx, _parse_ints(args.quot),
+                                _parse_ints(args.sub)))
+    doc, dims = {"vanishes": res.vanishes}, {}
     if not res.vanishes:
         doc["degree"] = res.degree
         doc["gl_weight"] = res.gl_weight
-        doc["dimension"] = dims[res.degree]
-    doc["chi"] = euler_char(bundle)
+        doc["dimension"] = dims[res.degree] = res.dimension
+    doc["chi"] = CohomologyProfile(tuple(dims.items())).chi
     doc["dims"] = dims
     return doc, True
 

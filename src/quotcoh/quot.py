@@ -131,14 +131,8 @@ from .bott import (
     bwb_weight,
     cohomology_dims,
 )
-from .partitions import (
-    binom,
-    negate_reverse,
-    pad,
-    transpose,
-    weyl_dim,
-)
-from .schur import _pieri_chain, cauchy_wedge, double_bundle_expand
+from .partitions import binom, negate_reverse, pad, transpose
+from .schur import _double_bundle_cached, _pieri_chain, cauchy_wedge
 
 G1 = "G1"
 G2 = "G2"
@@ -330,14 +324,14 @@ def _twist(sheaf: TautologicalSheaf, side: str) -> tuple:
     return (sheaf.functor, ks) if ks else _IDENTITY
 
 
-def _quotient_weights(dual: dict, q: int, functor: str, ks: tuple) -> dict:
-    """The dual-coordinate weights dual of a rank-q quotient twisted by
-    (functor, ks), as {quotient weight: multiplicity} in ordinary
-    coordinates.  On G1 dual is {(): 1}, so the twist is the whole weight;
-    on G2 it is the doubled expansion of S_lam(B2* + B2*).  Both are built
-    by the engine and the sheaf's functor is checked when it is made, so
-    they go through schur's unchecked Pieri chain."""
-    twisted = _pieri_chain(dual.items(), q, functor, ks)
+def _quotient_weights(dual, q: int, functor: str, ks: tuple) -> dict:
+    """The (weight, multiplicity) pairs dual, in dual coordinates, of a
+    rank-q quotient twisted by (functor, ks), as {quotient weight:
+    multiplicity} in ordinary coordinates.  On G1 dual is ((), 1) alone, so
+    the twist is the whole weight; on G2 it is lam's stored doubled
+    expansion.  The engine built both and checked the functor, so they go
+    through schur's unchecked Pieri chain."""
+    twisted = _pieri_chain(dual, q, functor, ks)
     return {negate_reverse(w): m for w, m in twisted.items()}
 
 
@@ -360,7 +354,7 @@ def resolution_terms(data: EmbeddingData, sheaf: TautologicalSheaf,
     _validate_sheaf(data, sheaf)
     ctx1, ctx2 = data.ctx1, data.ctx2
     sub_len = data.d1 - data.q1
-    g1_quots = _quotient_weights({(): 1}, data.q1, *_twist(sheaf, G1))
+    g1_quots = _quotient_weights([((), 1)], data.q1, *_twist(sheaf, G1))
     twist2 = _twist(sheaf, G2)
     zeros2 = (0,) * (data.d2 - data.q2)
     acc: dict = {}
@@ -369,7 +363,7 @@ def resolution_terms(data: EmbeddingData, sheaf: TautologicalSheaf,
         g1_bundles = [
             (HomogeneousBundle(ctx1, w, sub1), m) for w, m in g1_quots.items()
         ]
-        g2_dual = double_bundle_expand(lam, data.q2)
+        g2_dual = _double_bundle_cached(lam, data.q2)
         for w2, m2 in _quotient_weights(g2_dual, data.q2, *twist2).items():
             b2 = HomogeneousBundle(ctx2, w2, zeros2)
             for b1, m1 in g1_bundles:
@@ -420,8 +414,8 @@ def _factor_dims(d: int, quots, sub: tuple) -> dict:
     for w, mult in quots:
         res = bwb_weight(d, w + sub)
         if res is not None:
-            degree, gl = res
-            dims[degree] = dims.get(degree, 0) + mult * weyl_dim(gl, d)
+            degree, _, dim = res
+            dims[degree] = dims.get(degree, 0) + mult * dim
     return dims
 
 
@@ -498,7 +492,7 @@ def _live_pieces(data: EmbeddingData, twist1, twist2):
     a mu found under several weights is kept once.  Only these mu are
     transposed and run through Borel-Weil-Bott."""
     q1, sub_len = data.q1, data.d1 - data.q1
-    quots = _quotient_weights({(): 1}, q1, *twist1).items()
+    quots = _quotient_weights([((), 1)], q1, *twist1).items()
     bound = _g2_bound(data.q2, data.d2 - data.q2, *twist2)
     found = [{} for _ in range(data.rank_e + 1)]
     for w, _ in quots:
@@ -523,7 +517,8 @@ def _fill_profiles(data: EmbeddingData, twist1, twist2) -> dict:
     q2, zeros2 = data.q2, (0,) * (data.d2 - data.q2)
     terms: dict = {}
     for ell, lam, dims1 in _live_pieces(data, twist1, twist2):
-        quots2 = _quotient_weights(double_bundle_expand(lam, q2), q2, *twist2)
+        quots2 = _quotient_weights(_double_bundle_cached(lam, q2), q2,
+                                   *twist2)
         dims2 = _factor_dims(data.d2, quots2.items(), zeros2)
         dims = terms.setdefault(ell, {})
         for i1, n1 in dims1.items():

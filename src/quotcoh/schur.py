@@ -23,29 +23,31 @@ start + content), which gives:
   row once the content exceeds beta anywhere.
 
 Single coefficients are not cached: a triple rarely recurs outside the
-expansion that first asked for it.  The reuse sits one level up.  The
-tensor and doubled-bundle expansions are cached per input.  Their reuse
-comes mostly from the vanishing certificates of indices._certify: a
-grid certifies each lam under several twists, and its lam share their
-(alpha, beta) pairs.  A certificate reads _double_bundle_cached's tuple
-uncopied, as indices checked lam at its boundary (one pass of the
-benchmark's grid makes 466 hits and 82 misses there, 411 and 202 on the
-tensor step).
-quot's hot path expands only the G2 factors its acyclicity bound lets
-through, nearly all with cohomology, so it expands few lam (a sweep pass
-14 factors over 2 lam, a series pass 60 over 3), each under several
-twists and ranks.  The two Pieri rules are cached per weight and degree,
-because the expansions of different lam share their weights.  (weyl_dim in
-partitions and bwb_weight in bott are the other two caches; they pay for
-the same reason at the Borel-Weil-Bott step.)  These caches are global and
-unbounded.  The Cauchy pairs are not cached: quot's hot path walks only
-the pieces whose G1 factor has cohomology and never lists the pairs, so
-cauchy_wedge serves only the reference resolution_terms and the cauchy
-command, and checks the Cauchy identity on each list it builds.  The reuse
-among the sheaves resolved on one embedding sits higher still, in the
-memo of term profiles per pair of twists that quot keeps on each embedding
-and frees with it.  The direct-sum step is not cached: its one hot caller
-is the doubled-bundle expansion, whose own cache already holds the reuse.
+expansion that first asked for it.  The reuse sits one level up, in four
+caches keyed by their input: the tensor step, the doubled expansion and
+the two Pieri rules.  One pass of each benchmark workload makes these
+hits and misses (the sweep's expansions are filled in its set-up):
+
+    cache      grid       series   sweep
+    doubled    466 / 82   57 / 3   28 / 0
+    tensor     411 / 202   2 / 1    0 / 0
+    wedge      529 / 335   9 / 3   25 / 10
+    sym        259 / 416   9 / 3    9 / 5
+
+The grid's certificates (indices._certify) twist each lam several ways,
+and their lam share (alpha, beta) pairs and weights; quot expands only the
+few G2 factors its bound lets through, each under several twists and
+ranks.  Both read _double_bundle_cached's tuple as stored, their lam being
+normalized already.  With bott.bwb_weight these caches share the bound
+partitions.CACHE_ENTRIES.  The largest fill measured is 3,287 tensor
+entries, by "cohomology --N 3 --n 3 --r 1 --m 4 --functor dual --ks 3,1
+--sides G2,G2", so no measured run evicts.  The Cauchy pairs are not
+cached: quot's hot path never lists them, so cauchy_wedge serves only
+resolution_terms and the cauchy command, and checks the Cauchy identity on
+each list.  The direct-sum step is not cached: its one hot caller is the
+doubled expansion, whose cache holds the reuse.  The reuse among the
+sheaves of one embedding sits in quot's memo of term profiles, freed with
+the embedding.
 
 The doubled-bundle expansion of S_lam(B* + B*), B of rank n, keeps only
 pieces with at most n rows, so n travels down as a row bound: the
@@ -55,8 +57,7 @@ lr_expand_tensor pass their natural bounds, len(lam) and
 len(alpha) + len(beta), through the same two functions.  Each doubled
 expansion checks its dimensions when it is built: S_lam(C^2n) splits into
 its rank-n pieces, so their dimensions must add up to dim_2n(lam); a
-mismatch raises ArithmeticError.  No other step reads these dimensions, so
-they are computed uncached.
+mismatch raises ArithmeticError.
 
 The Pieri rules act directly on dominant weights with possibly negative
 entries; this is legitimate because both rules commute with twisting every
@@ -73,6 +74,7 @@ from itertools import combinations
 from operator import le
 
 from .partitions import (
+    CACHE_ENTRIES,
     as_partition,
     as_weight,
     binom,
@@ -81,7 +83,7 @@ from .partitions import (
     pad,
     size,
     transpose,
-    weyl_dim_uncached,
+    weyl_dim,
 )
 
 
@@ -159,7 +161,7 @@ def _walk(out, r, c, ikey, shape, vals, inner, outer, low, high, cols, nlab,
     row[c] = 0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _lr_expand_cached(alpha, beta, rows) -> tuple:
     # Keyed on the pair ordered by (size, shape): the walk fills the
     # smaller shape beta from the larger start alpha.
@@ -221,7 +223,7 @@ def double_bundle_triples(lam, n: int):
             yield alpha, beta, gamma, c1 * c2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _double_bundle_cached(lam, n) -> tuple:
     if len(lam) > 2 * n:
         raise ValueError(f"{lam} has more than {2 * n} rows")
@@ -229,8 +231,8 @@ def _double_bundle_cached(lam, n) -> tuple:
     for _, _, gamma, c in double_bundle_triples(lam, n):
         acc[gamma] = acc.get(gamma, 0) + c
     # S_lam(C^2n) splits into the rank-n pieces, dimensions included.
-    want = weyl_dim_uncached(pad(lam, 2 * n), 2 * n)
-    total = sum(c * weyl_dim_uncached(pad(gamma, n), n)
+    want = weyl_dim(pad(lam, 2 * n), 2 * n)
+    total = sum(c * weyl_dim(pad(gamma, n), n)
                 for gamma, c in acc.items())
     if total != want:
         raise ArithmeticError(f"doubled expansion of {lam} over rank {n} "
@@ -261,8 +263,8 @@ def cauchy_wedge(ell: int, rank_left: int, rank_right: int) -> list:
         raise ValueError("ell must be nonnegative")
     pairs = [(transpose(lam), lam)
              for lam in enumerate_in_box(rank_right, rank_left, ell)]
-    total = sum(weyl_dim_uncached(pad(lam_t, rank_left), rank_left)
-                * weyl_dim_uncached(pad(lam, rank_right), rank_right)
+    total = sum(weyl_dim(pad(lam_t, rank_left), rank_left)
+                * weyl_dim(pad(lam, rank_right), rank_right)
                 for lam_t, lam in pairs)
     want = binom(rank_left * rank_right, ell)
     if total != want:
@@ -272,7 +274,7 @@ def cauchy_wedge(ell: int, rank_left: int, rank_right: int) -> list:
     return pairs
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _pieri_wedge_cached(w, k, dualized) -> tuple:
     r = len(w)
     if not 0 <= k <= r:
@@ -297,7 +299,7 @@ def pieri_wedge(w, k: int, dualized: bool = False) -> dict:
     return {v: 1 for v in _pieri_wedge_cached(as_weight(w), k, dualized)}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _pieri_sym_cached(w, k, dualized) -> tuple:
     r = len(w)
     if k < 0:

@@ -131,7 +131,7 @@ def g1_scan(data, sheaf) -> list:
     of the Cauchy pieces whose G1 factor under the sheaf's G1 twist has
     cohomology, by scanning every piece."""
     sub_len = data.d1 - data.q1
-    quots = _quotient_weights({(): 1}, data.q1, *_twist(sheaf, G1)).items()
+    quots = _quotient_weights([((), 1)], data.q1, *_twist(sheaf, G1)).items()
     live = []
     for ell in range(data.rank_e + 1):
         pieces = []

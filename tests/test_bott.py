@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from quotcoh.bott import (
@@ -98,7 +100,27 @@ def test_degree_bounded_by_dimension():
                     res = bwb(b)
                     if not res.vanishes:
                         assert 0 <= res.degree <= ctx.dim
-                        assert weyl_dim(res.gl_weight, d) > 0
+                        assert res.dimension == weyl_dim(res.gl_weight, d) > 0
+    # random weights with negative and repeated entries: the stored
+    # dimension is the Weyl dimension of the answer's weight
+    rng = random.Random(23)
+    live = 0
+    for _ in range(400):
+        d = rng.randint(1, 7)
+        n = rng.randint(0, d)
+        w = [rng.randint(-3, 3) for _ in range(d)]
+        b = HomogeneousBundle(GrassmannianContext(d, n),
+                              sorted(w[:n], reverse=True),
+                              sorted(w[n:], reverse=True))
+        res = bwb(b)
+        if res.vanishes:
+            assert res.dimension is None and cohomology_dims(b) == {}
+        else:
+            live += 1
+            assert 0 <= res.degree <= b.ctx.dim
+            assert res.dimension == weyl_dim(res.gl_weight, d) > 0
+            assert cohomology_dims(b) == {res.degree: res.dimension}
+    assert live > 100
 
 
 def test_sub_condition_examples():
@@ -113,6 +135,30 @@ def test_quot_dual_condition_examples():
     assert vanishes_quot_dual_condition((1,), 4, 2) == 1
     assert vanishes_quot_dual_condition((), 4, 2) is None
     assert vanishes_quot_dual_condition((4,), 5, 2) is None
+    with pytest.raises(ValueError, match="more than n=2 rows"):
+        vanishes_quot_dual_condition((1, 1, 1), 5, 2)
+
+
+def test_conditions_read_partitions():
+    # trailing zeros do not change a partition, so they change no answer;
+    # (1, 0, 0) is the partition (1), which fits G(5, 2)
+    assert vanishes_quot_dual_condition((1, 0, 0), 5, 2) == 1
+    for lam in enumerate_in_box(3, 4, 3) + enumerate_in_box(2, 4, 5):
+        padded = lam + (0, 0)
+        assert vanishes_sub_condition(padded, 2) == \
+            vanishes_sub_condition(lam, 2)
+        assert vanishes_quot_dual_condition(padded, 6, 3) == \
+            vanishes_quot_dual_condition(lam, 6, 3)
+        for k in range(3):
+            assert vanishes_plus_condition(padded, 2, k) == \
+                vanishes_plus_condition(lam, 2, k)
+    for check in (lambda w: vanishes_sub_condition(w, 2),
+                  lambda w: vanishes_quot_dual_condition(w, 5, 2),
+                  lambda w: vanishes_plus_condition(w, 2, 1)):
+        with pytest.raises(ValueError, match="negative part"):
+            check((1, -1))
+        with pytest.raises(ValueError, match="not weakly decreasing"):
+            check((0, 1))
     assert not bwb(quot_dual_bundle(GrassmannianContext(5, 2),
                                     (4,))).vanishes
 

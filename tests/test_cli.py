@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from quotcoh import cli, indices, schur
+from quotcoh import bott, cli, indices, schur
 
 
 def run_cli(capsys, *argv):
@@ -59,8 +59,10 @@ def test_bwb(capsys):
     assert doc["chi"] == "-1"
 
 
-def test_bwb_document(capsys):
-    # S_(0,-4)(B) on G(5,2): one group, in odd degree, of dimension 5
+def test_bwb_document(capsys, count_calls):
+    # S_(0,-4)(B) on G(5,2): one group, in odd degree, of dimension 5, all
+    # read off one Borel-Weil-Bott run
+    runs = count_calls(bott, "bwb")
     code, doc = run_json(capsys, "bwb", "--d", "5", "--n", "2",
                          "--quot", "0,-4", "--sub", "0,0,0")
     assert code == 0
@@ -69,6 +71,7 @@ def test_bwb_document(capsys):
                    "dimension": "5", "chi": "-5", "dims": {"3": "5"}}
     assert list(doc) == ["vanishes", "degree", "gl_weight", "dimension",
                          "chi", "dims"]
+    assert len(runs) == 1
 
 
 def test_index(capsys):

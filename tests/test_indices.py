@@ -1,10 +1,9 @@
 import itertools
 import json
-import sys
 
 import pytest
 
-from quotcoh import bott, cli, partitions, schur
+from quotcoh import cli, partitions
 from quotcoh.bott import GrassmannianContext, bwb, quot_dual_bundle
 from quotcoh.indices import (
     SummandCheck,
@@ -306,40 +305,12 @@ def test_indexed_partitions_match_the_filtered_box():
         indexed_partitions(6, 2, k=3)
 
 
-def _count_calls(monkeypatch, name) -> list:
-    # Replace name in every quotcoh module that binds it with a wrapper
-    # that records each call.
-    calls = []
-    real = getattr(partitions, name)
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "quotcoh" and \
-                getattr(mod, name, None) is real:
-            monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
-def test_grid_checks_each_input_once(monkeypatch, capsys):
+def test_grid_checks_each_input_once(capsys, cold_caches, count_calls):
     # Certifying a grid normalizes each lam once, at the public boundary,
     # and never re-checks a weight the engine built, cold caches included.
-    for cached in (schur._double_bundle_cached, schur._lr_expand_cached,
-                   schur._pieri_wedge_cached, schur._pieri_sym_cached,
-                   bott.bwb_weight, partitions.weyl_dim):
-        cached.cache_clear()
-    as_partition_calls = _count_calls(monkeypatch, "as_partition")
-    as_weight_calls = _count_calls(monkeypatch, "as_weight")
-    walks = []
-    real_walk = partitions._walk_box
-
-    def counted_walk(*args):
-        walks.append(args)
-        return real_walk(*args)
-
-    monkeypatch.setattr(partitions, "_walk_box", counted_walk)
+    as_partition_calls = count_calls(partitions, "as_partition")
+    as_weight_calls = count_calls(partitions, "as_weight")
+    walks = count_calls(partitions, "_walk_box")
     assert cli.run(["verify", "prop-3.2", "--d", "8", "--n", "3"]) == 0
     cases = int(json.loads(capsys.readouterr().out)["cases"])
     assert cases > 100

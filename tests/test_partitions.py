@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from quotcoh import partitions
 from quotcoh.partitions import (
     add,
     all_in_box,
@@ -17,7 +18,6 @@ from quotcoh.partitions import (
     transpose,
     union,
     weyl_dim,
-    weyl_dim_uncached,
 )
 from oracles import ssyt_count
 
@@ -172,7 +172,20 @@ def test_weyl_dim_matches_the_pairwise_product(entries):
             num *= w[i] - w[j] + j - i
             den *= j - i
     assert num % den == 0
-    assert weyl_dim_uncached(w, len(w)) == num // den
+    assert weyl_dim(w, len(w)) == num // den
+
+
+def test_every_engine_cache_is_bounded(cold_caches):
+    # The engine's caches share one bound; only the argument-free parser
+    # builder is unbounded.  weyl_dim is a plain function: Borel-Weil-Bott
+    # stores the dimension with its answer.
+    bounds = {name: cached.cache_parameters()["maxsize"]
+              for name, cached in cold_caches.items()}
+    assert bounds.pop("quotcoh.cli.build_parser") is None
+    assert len(bounds) >= 5
+    assert set(bounds.values()) == {partitions.CACHE_ENTRIES}
+    assert not hasattr(weyl_dim, "cache_info")
+    assert not hasattr(partitions, "weyl_dim_uncached")
 
 
 def test_weyl_dim_of_long_flat_weights():

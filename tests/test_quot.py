@@ -1,12 +1,13 @@
 import functools
 import gc
 import itertools
+import json
 import math
 import weakref
 
 import pytest
 
-from quotcoh import quot, schur
+from quotcoh import cli, partitions, quot, schur
 from quotcoh.partitions import enumerate_in_box
 from quotcoh.quot import (
     G1,
@@ -176,7 +177,7 @@ def test_g2_bound_skips_only_acyclic_factors():
         for width in range(7):
             zeros = (0,) * width
             for lam in lams:
-                dual = schur.double_bundle_expand(lam, q)
+                dual = schur.double_bundle_expand(lam, q).items()
                 for functor, ks in _g2_twists(q):
                     quots = quot._quotient_weights(dual, q, functor, ks)
                     dims = quot._factor_dims(q + width, quots.items(), zeros)
@@ -194,7 +195,7 @@ def _record_g2_factors(monkeypatch):
     """Record the {degree: dim} of every G2 factor the hot path expands: the
     _factor_dims call that follows a doubled expansion reads its weights."""
     expanded, sent = [], []
-    real_expand, real_dims = quot.double_bundle_expand, quot._factor_dims
+    real_expand, real_dims = quot._double_bundle_cached, quot._factor_dims
 
     def expand(lam, n):
         expanded.append(lam)
@@ -206,34 +207,55 @@ def _record_g2_factors(monkeypatch):
             sent.append((expanded.pop(), dims))
         return dims
 
-    monkeypatch.setattr(quot, "double_bundle_expand", expand)
+    monkeypatch.setattr(quot, "_double_bundle_cached", expand)
     monkeypatch.setattr(quot, "_factor_dims", factor_dims)
     return sent
 
 
+def _sweep_sheaves(N, n) -> list:
+    """wedge^k and sym^k on each side, and dualized products of 1..N-1
+    factors with at most one on G1."""
+    sheaves = [f(k, side) for f in (wedge_power, sym_power)
+               for side in (G1, G2) for k in range(n + 1)]
+    factors = [(k, side) for k in range(1, n + 1) for side in (G1, G2)]
+    for length in range(1, N):
+        sheaves += [dual_wedge_product(prod) for prod
+                    in itertools.product(factors, repeat=length)
+                    if [s for _, s in prod].count(G1) <= 1]
+    return sheaves
+
+
 def test_only_g2_factors_with_cohomology_are_expanded(monkeypatch):
     # The hot path pays for a doubled expansion only where the bound admits
-    # cohomology; on these embeddings every such factor has some.  Sheaves:
-    # wedge^k and sym^k on each side, and dualized products of 1..N-1
-    # factors with at most one on G1.
+    # cohomology; on these embeddings every such factor has some.
     sent = _record_g2_factors(monkeypatch)
     for N, n, r, m in ((4, 2, 0, 2), (3, 2, 0, 2), (2, 3, 0, 3), (3, 1, 1, 2),
                        (3, 2, 1, 3)):
         data = embedding_data(N, None, n, r, m)
-        sheaves = [f(k, side) for f in (wedge_power, sym_power)
-                   for side in (G1, G2) for k in range(n + 1)]
-        factors = [(k, side) for k in range(1, n + 1) for side in (G1, G2)]
-        for length in range(1, N):
-            sheaves += [dual_wedge_product(prod) for prod
-                        in itertools.product(factors, repeat=length)
-                        if [s for _, s in prod].count(G1) <= 1]
-        for sheaf in sheaves:
+        for sheaf in _sweep_sheaves(N, n):
             quot_cohomology(data, sheaf)
     # 64 factors are sent, 31 of them on the r = 0 embeddings; without the
     # cap of the dual twist's rise at sum(ks), (3, 1, 1, 2) alone sends 22,
     # of which 13 are acyclic
     assert len(sent) >= 10
     assert [x for x in sent if not x[-1]] == []
+
+
+def test_engine_reads_stored_expansions(capsys, cold_caches, count_calls):
+    # From cold caches, resolving reads each doubled expansion as it is
+    # stored and re-checks no weight or partition the engine built: the
+    # checked public expansion and both input checks are never called.
+    calls = [count_calls(schur, "double_bundle_expand"),
+             count_calls(partitions, "as_partition"),
+             count_calls(partitions, "as_weight")]
+    data = embedding_data(3, None, 2, 0, 2)
+    for sheaf in _sweep_sheaves(3, 2):
+        quot_cohomology(data, sheaf)
+    assert cli.run(["series", "wedge", "--N", "2", "--degL", "6",
+                    "--nmax", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+    assert schur._double_bundle_cached.cache_info().misses >= 5
+    assert calls == [[], [], []]
 
 
 def test_walk_emits_only_g2_factors_with_cohomology(monkeypatch):
@@ -360,7 +382,7 @@ def test_memo_hit_runs_no_walk_and_no_expansion(monkeypatch):
     assert len(entry) == 5  # the hit has terms to read
     with monkeypatch.context() as patch:
         patch.setattr(quot, "_fill_live", refuse)
-        patch.setattr(quot, "double_bundle_expand", refuse)
+        patch.setattr(quot, "_double_bundle_cached", refuse)
         second = quot_cohomology(data, dual_wedge_product(second_order))
     assert list(data._profiles) == [key] and data._profiles[key] is entry
     cold = quot_cohomology(embedding_data(3, None, 1, 1, 2),
