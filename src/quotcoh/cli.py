@@ -355,52 +355,47 @@ def _cmd_series(args):
     }, comparison.equal
 
 
-@lru_cache(maxsize=None)
-def build_parser() -> _Parser:
-    """The command line parser, built once per process: argparse's objects
-    form reference cycles, and every default below is immutable, so one
-    parser serves every call of run."""
-    parser = _Parser(prog="quotcoh", description=__doc__)
-    parser.add_argument("--format", choices=("json", "tsv"), default="json")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("lr", help="one Littlewood-Richardson coefficient")
+def _lr_flags(p):
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--gamma", required=True)
     p.set_defaults(func=_cmd_lr)
 
-    p = sub.add_parser("cauchy", help="exterior-power Cauchy index pairs")
+
+def _cauchy_flags(p):
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--rank-left", dest="rank_left", type=int, required=True)
     p.add_argument("--rank-right", dest="rank_right", type=int, required=True)
     p.set_defaults(func=_cmd_cauchy)
 
-    p = sub.add_parser("bwb", help="cohomology of one homogeneous bundle")
+
+def _bwb_flags(p):
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--quot", required=True)
     p.add_argument("--sub", required=True)
     p.set_defaults(func=_cmd_bwb)
 
-    p = sub.add_parser("index", help="column index of a partition")
+
+def _index_flags(p):
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(func=_cmd_index)
 
-    for name in ("chi", "cohomology"):
-        p = sub.add_parser(name, help=f"{name} of a tautological sheaf")
-        _add_embedding_flags(p)
-        p.add_argument("--functor", choices=("wedge", "sym", "dual"),
-                       required=True)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--ks", type=str, default="")
-        p.add_argument("--side", choices=(G1, G2), default=G2)
-        p.add_argument("--sides", type=str, default="")
-        p.set_defaults(func=_cmd_cohomology)
 
-    p = sub.add_parser("verify", help="verify a stated claim on a grid")
+def _sheaf_flags(p):
+    _add_embedding_flags(p)
+    p.add_argument("--functor", choices=("wedge", "sym", "dual"),
+                   required=True)
+    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--ks", type=str, default="")
+    p.add_argument("--side", choices=(G1, G2), default=G2)
+    p.add_argument("--sides", type=str, default="")
+    p.set_defaults(func=_cmd_cohomology)
+
+
+def _verify_flags(p):
     targets = p.add_subparsers(dest="target", required=True)
     for name, which in (("theorem-a", "A"), ("theorem-b", "B")):
         t = targets.add_parser(name, help=f"Theorem {which} on one embedding")
@@ -438,7 +433,8 @@ def build_parser() -> _Parser:
     grids["prop-3.3"].add_argument("--mode", choices=("plain", "plus"),
                                    default="plain")
 
-    p = sub.add_parser("conjecture", help="compare chi against a closed form")
+
+def _conjecture_flags(p):
     p.add_argument("kind", choices=("wedge", "sym", "dual"))
     _add_embedding_flags(p)
     p.add_argument("--k", type=int, default=None)
@@ -447,7 +443,8 @@ def build_parser() -> _Parser:
     p.add_argument("--degLs", type=str, default="")
     p.set_defaults(func=_cmd_conjecture)
 
-    p = sub.add_parser("series", help="generating-series comparison")
+
+def _series_flags(p):
     p.add_argument("kind", choices=("wedge", "sym", "dual"))
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--degL", type=int, required=True)
@@ -455,11 +452,40 @@ def build_parser() -> _Parser:
     p.add_argument("--splitting", type=str, default="")
     p.set_defaults(func=_cmd_series)
 
+
+# Each command's help line and flag builder, in the order help lists them.
+_COMMANDS = {
+    "lr": ("one Littlewood-Richardson coefficient", _lr_flags),
+    "cauchy": ("exterior-power Cauchy index pairs", _cauchy_flags),
+    "bwb": ("cohomology of one homogeneous bundle", _bwb_flags),
+    "index": ("column index of a partition", _index_flags),
+    "chi": ("chi of a tautological sheaf", _sheaf_flags),
+    "cohomology": ("cohomology of a tautological sheaf", _sheaf_flags),
+    "verify": ("verify a stated claim on a grid", _verify_flags),
+    "conjecture": ("compare chi against a closed form", _conjecture_flags),
+    "series": ("generating-series comparison", _series_flags),
+}
+
+
+@lru_cache(maxsize=len(_COMMANDS) + 1)
+def build_parser(command=None) -> _Parser:
+    """The parser of one command, built once per process: argparse's
+    objects form reference cycles, and every flag default is immutable, so
+    one parser serves every call of run.  run passes the command its argv
+    names, and that parser knows no other; None builds every command, for
+    help ahead of the command and for the errors that list the choices."""
+    parser = _Parser(prog="quotcoh", description=__doc__)
+    parser.add_argument("--format", choices=("json", "tsv"), default="json")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, add_flags) in _COMMANDS.items():
+        if command in (None, name):
+            add_flags(sub.add_parser(name, help=help_))
     return parser
 
 
 # argparse sets aside an unknown flag ahead of the command but reads its
-# value as the command; this parser sets the command aside and names it.
+# value as the command; this parser sets the command aside and names it,
+# and run builds the parser of the command it names.
 _GLOBAL_FLAGS = _Parser(add_help=False)
 _GLOBAL_FLAGS.add_argument("-h", "--help", action="store_true")
 _GLOBAL_FLAGS.add_argument("--format")
@@ -467,9 +493,12 @@ _GLOBAL_FLAGS.add_argument("rest", nargs=argparse.REMAINDER)
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        _, unknown = _GLOBAL_FLAGS.parse_known_args(argv)
+        ns, unknown = _GLOBAL_FLAGS.parse_known_args(argv)
+        # a help flag ahead of the command, no command or an unknown one
+        # is answered by the parser of every command
+        command = ns.rest[0] if ns.rest and not ns.help else None
+        parser = build_parser(command if command in _COMMANDS else None)
         if unknown:
             parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         args = parser.parse_args(argv)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -428,7 +429,7 @@ def test_readme_commands_run(capsys):
         json.loads(out)
         assert out.encode() == golden, argv
 
-        args = cli.build_parser().parse_args(argv)
+        args = cli.build_parser(argv[0]).parse_args(argv)
         result = args.func(args)
         assert capsys.readouterr().out == "", argv
         assert type(result) is tuple and len(result) == 2, argv
@@ -449,12 +450,15 @@ def test_golden_rewrite_keeps_the_tree_when_a_command_fails(tmp_path,
 
 
 def test_one_parser_serves_every_call(capsys):
-    # run builds its parser once per process; calls in sequence, a rejected
-    # one among them, print what each prints on a newly built parser
+    # run builds each command's parser once per process; calls of several
+    # commands in sequence, a rejected one among them, print what each
+    # prints on a newly built parser
     embedding = ("--N", "2", "--n", "2", "--r", "0", "--m", "2")
     calls = (
         ("chi",) + embedding + ("--functor", "wedge", "--k", "1"),
         ("chi",) + embedding + ("--functor", "wedge", "--kk", "1"),
+        ("series", "wedge", "--N", "2", "--degL", "2", "--nmax", "2"),
+        ("lr", "--alpha", "1", "--beta", "1", "--gamma", "2"),
         ("cohomology",) + embedding + ("--functor", "wedge", "--k", "1"),
     )
 
@@ -462,14 +466,71 @@ def test_one_parser_serves_every_call(capsys):
         code = cli.run(list(argv))
         return code, capsys.readouterr()
 
-    assert cli.build_parser() is cli.build_parser()
+    for name in ("chi", "series", None):
+        assert cli.build_parser(name) is cli.build_parser(name)
     in_sequence = [outcome(argv) for argv in calls]
     fresh = []
     for argv in calls:
         cli.build_parser.cache_clear()
         fresh.append(outcome(argv))
     assert in_sequence == fresh
-    assert [code for code, _ in in_sequence] == [0, 2, 0]
+    assert [code for code, _ in in_sequence] == [0, 2, 0, 0, 0]
+
+
+def test_a_command_builds_only_its_own_parser(monkeypatch):
+    # the top-level parser and the series parser, with --format, kind, the
+    # four flags of series and the two help flags
+    built, added = [], []
+    init = argparse.ArgumentParser.__init__
+    add = argparse.ArgumentParser.add_argument
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    def counted_add(self, *args, **kwargs):
+        added.append(args)
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted_add)
+    cli.build_parser.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(["series", "wedge", "--N", "2", "--degL", "2",
+                        "--nmax", "2"])
+    assert code == 0
+    assert len(built) <= 2 and len(added) <= 8, (built, added)
+
+
+COMMANDS = "{lr,cauchy,bwb,index,chi,cohomology,verify,conjecture,series}"
+
+
+def test_help_and_errors_name_every_command(capsys):
+    # a help flag ahead of the command, no command or an unknown one gets
+    # the answer of the parser of every command
+    for argv in (["--help"], ["-h", "series"],
+                 ["--format", "tsv", "--help"]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert out.startswith("usage: quotcoh [-h] [--format {json,tsv}]")
+        assert COMMANDS in out, argv
+        assert "generating-series comparison" in out, argv
+    code, out = run_cli(capsys, "series", "--help")
+    assert code == 0 and out.startswith("usage: quotcoh series")
+    code, out = run_cli(capsys, "verify", "prop-3.3", "--help")
+    assert code == 0 and "--r R" in out and "--mode {plain,plus}" in out
+
+    code, doc = run_json(capsys)
+    assert code == 2
+    assert doc == {"error": "the following arguments are required: command"}
+    code, doc = run_json(capsys, "bogus")
+    choices = ", ".join(f"'{c}'" for c in COMMANDS[1:-1].split(","))
+    assert code == 2 and doc == {"error": "argument command: invalid "
+                                 f"choice: 'bogus' (choose from {choices})"}
+    code, doc = run_json(capsys, "--format", "xml", "series", "wedge", "--N",
+                         "2", "--degL", "2", "--nmax", "2")
+    assert code == 2 and doc == {"error": "argument --format: invalid "
+                                 "choice: 'xml' (choose from 'json', 'tsv')"}
 
 
 def test_byte_stable_output(capsys):

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from quotcoh import partitions
+from quotcoh import cli, partitions
 from quotcoh.partitions import (
     add,
     all_in_box,
@@ -175,13 +175,18 @@ def test_weyl_dim_matches_the_pairwise_product(entries):
     assert weyl_dim(w, len(w)) == num // den
 
 
-def test_every_engine_cache_is_bounded(cold_caches):
-    # The engine's caches share one bound; only the argument-free parser
-    # builder is unbounded.  weyl_dim is a plain function: Borel-Weil-Bott
+def test_every_engine_cache_is_bounded(cold_caches, capsys):
+    # The engine's caches share one bound; the parser builder keeps one
+    # parser per command and one of every command, and an unknown command
+    # is served by the latter.  weyl_dim is a plain function: Borel-Weil-Bott
     # stores the dimension with its answer.
     bounds = {name: cached.cache_parameters()["maxsize"]
               for name, cached in cold_caches.items()}
-    assert bounds.pop("quotcoh.cli.build_parser") is None
+    assert bounds.pop("quotcoh.cli.build_parser") == len(cli._COMMANDS) + 1
+    for argv in (["bogus"], ["verify", "bogus"], ["Series"], []):
+        assert cli.run(argv) == 2
+    # the parser of every command and that of verify
+    assert cli.build_parser.cache_info().currsize == 2
     assert len(bounds) >= 5
     assert set(bounds.values()) == {partitions.CACHE_ENTRIES}
     assert not hasattr(weyl_dim, "cache_info")
