@@ -10,7 +10,7 @@ kept.
 
 import math
 
-# The bound shared by the engine's five caches.  The largest fill measured
+# The bound shared by the engine's six caches.  The largest fill measured
 # is 3,287 entries, so no measured run evicts.
 CACHE_ENTRIES = 1 << 14
 

@@ -104,25 +104,22 @@ only pieces the test rejects.  At rest = 0 each bound is the value itself
 and the cut is the test on lam, which the walk runs wherever mu may end; so
 it emits exactly the pieces live on G1 and admitted on G2.
 
-Every sheaf resolved on one embedding with the same twists has the same
-term profiles, so they are memoized on the EmbeddingData, one entry per
-pair of twists.  The key is (functor1, ks1, functor2, ks2), each side's
-twist (functor, ks) over its factors of positive degree (the identity
-twist when there are none).  The value is {ell: CohomologyProfile} for the
-terms with cohomology.  One pass fills it: the walk, Borel-Weil-Bott on
-each piece's G1 factor, the doubled expansion, Pieri twist and
-Borel-Weil-Bott of its G2 factor, and the Kunneth convolution.  A term
-missing from the entry is acyclic, and term_profiles yields one shared
-empty profile for it, so a sheaf pays only for its few terms with
-cohomology, not for all rank E + 1.  The walk's output depends on both
-twists, hence the pair key; the cut makes a walk per pair cheaper than
-filtering every piece live on G1 per G2 twist.  The memo is exact: an
-entry depends only on the embedding and the twists, which its scope and
-key fix.  Degree-0 factors leave the key, and it is freed with the
-embedding.
+The term profiles are cached in _fill_profiles, one bounded lru_cache
+keyed by the embedding's value and the pair of twists, each side's
+(functor, ks) over its factors of positive degree (the identity twist when
+there are none; sym^1 reads as wedge^1).  The value is {ell:
+CohomologyProfile} for the terms with cohomology, filled in one pass: the
+walk, Borel-Weil-Bott on each piece's G1 factor, the doubled expansion,
+Pieri twist and Borel-Weil-Bott of its G2 factor, and Kunneth.  A term
+missing from it is acyclic and reads as one shared empty profile, so a
+sheaf pays only for its few terms with cohomology.  The walk's output
+depends on both twists, hence the pair key.  The key is exact: a profile
+depends only on (N, splitting, n, r, m), which an EmbeddingData's equality
+compares, and on the twists; so equal embeddings built apart share entries.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .bott import (
@@ -131,7 +128,7 @@ from .bott import (
     bwb_weight,
     cohomology_dims,
 )
-from .partitions import binom, negate_reverse, pad, transpose
+from .partitions import CACHE_ENTRIES, binom, negate_reverse, pad, transpose
 from .schur import _double_bundle_cached, _pieri_chain, cauchy_wedge
 
 G1 = "G1"
@@ -158,9 +155,6 @@ class EmbeddingData:
     q1: int = field(init=False)
     q2: int = field(init=False)
     rank_e: int = field(init=False)
-    # The memo of term profiles (see the module docstring).
-    _profiles: dict = field(init=False, default_factory=dict, compare=False,
-                            repr=False)
 
     def __post_init__(self):
         splitting = tuple(sorted((int(a) for a in self.splitting),
@@ -318,9 +312,12 @@ def _twist(sheaf: TautologicalSheaf, side: str) -> tuple:
     """The sheaf's twist on one side, as (functor, ks): the degrees of the
     factors whose twist is realized there, in descending order, since the
     factors of a tensor product commute.  A degree-0 factor is the trivial
-    bundle, so it is left out, and a side left with none gets the identity."""
+    bundle, so it is left out, and a side left with none gets the identity.
+    S^1 B = wedge^1 B = B, so sym^1 reads as wedge^1."""
     ks = tuple(sorted((k for k, s in zip(sheaf.ks, sheaf.sides)
                        if s == side and k), reverse=True))
+    if ks == (1,) and sheaf.functor == "sym":
+        return "wedge", ks
     return (sheaf.functor, ks) if ks else _IDENTITY
 
 
@@ -348,7 +345,7 @@ def resolution_terms(data: EmbeddingData, sheaf: TautologicalSheaf,
                      ell: int) -> ResolutionTerm:
     """The degree-ell term of the twisted Koszul resolution, split into
     homogeneous summands over the two Grassmannians.  This is the reference
-    the factored profiles are tested against, so it reads no memo."""
+    the factored profiles are tested against, so it reads none of them."""
     if not 0 <= ell <= data.rank_e:
         raise ValueError(f"ell={ell} outside 0..{data.rank_e}")
     _validate_sheaf(data, sheaf)
@@ -509,6 +506,7 @@ def _live_pieces(data: EmbeddingData, twist1, twist2):
                                                    pad(mu, sub_len))
 
 
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _fill_profiles(data: EmbeddingData, twist1, twist2) -> dict:
     """{ell: CohomologyProfile} of the terms with cohomology under the G1
     twist twist1 and the G2 twist twist2: each live piece's G2 factor is
@@ -532,17 +530,13 @@ def term_profiles(data: EmbeddingData, sheaf: TautologicalSheaf):
     """Yield (ell, CohomologyProfile) for every term of the resolution.
 
     Each profile equals term_cohomology(resolution_terms(data, sheaf, ell)),
-    computed by factored Kunneth (see the module docstring).  The profiles
-    are read from the embedding's memo, whose entry for the sheaf's pair of
-    twists holds the terms with cohomology and is filled on first use; every
-    other term yields the shared empty profile.  Every weight is valid by
-    construction, so only the sheaf is checked.
+    computed by factored Kunneth (see the module docstring) and cached per
+    embedding and pair of twists; a term without cohomology yields the
+    shared empty profile.  Every weight is valid by construction, so only
+    the sheaf is checked.
     """
     _validate_sheaf(data, sheaf)
-    key = (*_twist(sheaf, G1), *_twist(sheaf, G2))
-    profiles = data._profiles.get(key)
-    if profiles is None:
-        profiles = data._profiles[key] = _fill_profiles(data, key[:2], key[2:])
+    profiles = _fill_profiles(data, _twist(sheaf, G1), _twist(sheaf, G2))
     for ell in range(data.rank_e + 1):
         yield ell, profiles.get(ell, _ACYCLIC)
 

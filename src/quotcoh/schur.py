@@ -25,29 +25,29 @@ start + content), which gives:
 Single coefficients are not cached: a triple rarely recurs outside the
 expansion that first asked for it.  The reuse sits one level up, in four
 caches keyed by their input: the tensor step, the doubled expansion and
-the two Pieri rules.  One pass of each benchmark workload makes these
-hits and misses (the sweep's expansions are filled in its set-up):
+the two Pieri rules, and above them in quot's cache of term profiles.  One
+pass of each benchmark workload makes these hits and misses (the sweep's
+expansions are filled in its set-up):
 
-    cache      grid       series   sweep
-    doubled    466 / 82   57 / 3   28 / 0
-    tensor     411 / 202   2 / 1    0 / 0
-    wedge      529 / 335   9 / 3   25 / 10
-    sym        259 / 416   9 / 3    9 / 5
+    cache      grid       series    sweep
+    profiles     0 / 0    32 / 40   44 / 60
+    doubled    466 / 82   25 / 3    22 / 0
+    tensor     411 / 202   2 / 1     0 / 0
+    wedge      529 / 335   9 / 3    25 / 10
+    sym        259 / 416   3 / 1     5 / 3
 
 The grid's certificates (indices._certify) twist each lam several ways,
 and their lam share (alpha, beta) pairs and weights; quot expands only the
 few G2 factors its bound lets through, each under several twists and
 ranks.  Both read _double_bundle_cached's tuple as stored, their lam being
-normalized already.  With bott.bwb_weight these caches share the bound
+normalized already.  With bott.bwb_weight, six caches share the bound
 partitions.CACHE_ENTRIES.  The largest fill measured is 3,287 tensor
 entries, by "cohomology --N 3 --n 3 --r 1 --m 4 --functor dual --ks 3,1
 --sides G2,G2", so no measured run evicts.  The Cauchy pairs are not
 cached: quot's hot path never lists them, so cauchy_wedge serves only
 resolution_terms and the cauchy command, and checks the Cauchy identity on
 each list.  The direct-sum step is not cached: its one hot caller is the
-doubled expansion, whose cache holds the reuse.  The reuse among the
-sheaves of one embedding sits in quot's memo of term profiles, freed with
-the embedding.
+doubled expansion, whose cache holds the reuse.
 
 The doubled-bundle expansion of S_lam(B* + B*), B of rank n, keeps only
 pieces with at most n rows, so n travels down as a row bound: the

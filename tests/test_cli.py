@@ -477,6 +477,30 @@ def test_one_parser_serves_every_call(capsys):
     assert [code for code, _ in in_sequence] == [0, 2, 0, 0, 0]
 
 
+def test_series_tables_share_no_stale_entries(capsys, cold_caches):
+    # the engine's caches are keyed by value and outlive a table, so the
+    # twelve benchmark tables run in one process, forward and then reversed,
+    # must each print what they print from cold caches
+    tables = [["series", kind, "--N", str(N), "--degL", str(deg_l),
+               "--nmax", "2"]
+              for N, deg_l in ((2, 2), (2, 3), (3, 2), (2, 4))
+              for kind in ("wedge", "sym", "dual")]
+
+    def out(argv):
+        assert cli.run(argv) == 0
+        return capsys.readouterr().out
+
+    cold = []
+    for argv in tables:
+        for cached in cold_caches.values():
+            cached.cache_clear()
+        cold.append(out(argv))
+    for cached in cold_caches.values():
+        cached.cache_clear()
+    assert [out(argv) for argv in tables] == cold
+    assert [out(argv) for argv in tables[::-1]] == cold[::-1]
+
+
 def test_a_command_builds_only_its_own_parser(monkeypatch):
     # the top-level parser and the series parser, with --format, kind, the
     # four flags of series and the two help flags

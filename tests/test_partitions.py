@@ -187,7 +187,7 @@ def test_every_engine_cache_is_bounded(cold_caches, capsys):
         assert cli.run(argv) == 2
     # the parser of every command and that of verify
     assert cli.build_parser.cache_info().currsize == 2
-    assert len(bounds) >= 5
+    assert len(bounds) >= 6 and "quotcoh.quot._fill_profiles" in bounds
     assert set(bounds.values()) == {partitions.CACHE_ENTRIES}
     assert not hasattr(weyl_dim, "cache_info")
     assert not hasattr(partitions, "weyl_dim_uncached")

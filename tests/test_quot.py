@@ -1,9 +1,9 @@
+import dataclasses
 import functools
 import gc
 import itertools
 import json
 import math
-import weakref
 
 import pytest
 
@@ -225,7 +225,8 @@ def _sweep_sheaves(N, n) -> list:
     return sheaves
 
 
-def test_only_g2_factors_with_cohomology_are_expanded(monkeypatch):
+def test_only_g2_factors_with_cohomology_are_expanded(monkeypatch,
+                                                      cold_caches):
     # The hot path pays for a doubled expansion only where the bound admits
     # cohomology; on these embeddings every such factor has some.
     sent = _record_g2_factors(monkeypatch)
@@ -258,7 +259,8 @@ def test_engine_reads_stored_expansions(capsys, cold_caches, count_calls):
     assert calls == [[], [], []]
 
 
-def test_walk_emits_only_g2_factors_with_cohomology(monkeypatch):
+def test_walk_emits_only_g2_factors_with_cohomology(monkeypatch,
+                                                     cold_caches):
     # The series' embeddings (2, n, 0, 6), n = 0..6, under wedge^0..n on
     # G2: the walk cuts every piece the G2 test rules out, so each piece it
     # emits is expanded and has cohomology.  (A walk that emitted every
@@ -272,29 +274,54 @@ def test_walk_emits_only_g2_factors_with_cohomology(monkeypatch):
     assert all(dims for _, dims in sent)
 
 
-def test_piece_memo_dies_with_its_embedding():
-    data = embedding_data(2, None, 2, 0, 2)
-    quot_cohomology(data, dual_wedge_product(((1, G1), (1, G2))))
-    assert data._profiles
-    ref = weakref.ref(data)
-    del data
-    gc.collect()
-    assert ref() is None  # no module-level registry holds it
+def _clear(caches):
+    for cached in caches.values():
+        cached.cache_clear()
 
 
-def test_piece_memo_is_order_independent():
-    # Every sheaf resolved on one shared embedding, in either order, gets
-    # the profile a cold embedding gives it: no two twists share a key.
+def test_equal_embeddings_share_profiles(cold_caches, count_calls):
+    # The profile cache is keyed by the embedding's value, so an embedding
+    # built again with equal arguments walks nothing and answers the same.
+    sheaves = (dual_wedge_product(((1, G1), (1, G2))), sym_power(2, G1),
+               wedge_power(1, G2))
+    first = [quot_cohomology(embedding_data(2, None, 2, 0, 2), s)
+             for s in sheaves]
+    walks = count_calls(quot, "_fill_live")
+    again = embedding_data(2, None, 2, 0, 2)
+    assert [quot_cohomology(again, s) for s in sheaves] == first
+    assert walks == []
+
+
+def test_sym1_shares_the_wedge1_entry(cold_caches):
+    # S^1 B = wedge^1 B = B: both sheaves read one entry, so the second
+    # resolves from the cache
+    for args in ((2, None, 2, 0, 2), (3, None, 2, 1, 2), (2, (1, 0), 2, 0, 2)):
+        data = embedding_data(*args)
+        for side in (G1, G2):
+            _clear(cold_caches)
+            sym = quot_cohomology(data, sym_power(1, side))
+            misses = quot._fill_profiles.cache_info().misses
+            assert quot_cohomology(data, wedge_power(1, side)) == sym
+            assert quot._fill_profiles.cache_info().misses == misses
+
+
+def test_piece_memo_is_order_independent(cold_caches):
+    # Every sheaf resolved in either order with a shared cache gets the
+    # profile it gets from cold caches.
     for args in ((2, None, 2, 0, 2), (3, None, 2, 1, 2)):
         sheaves = _cross_check_sheaves(embedding_data(*args))
-        cold = [quot_cohomology(embedding_data(*args), s) for s in sheaves]
+        cold = []
+        for s in sheaves:
+            _clear(cold_caches)
+            cold.append(quot_cohomology(embedding_data(*args), s))
         for order in (sheaves, sheaves[::-1]):
+            _clear(cold_caches)
             shared = embedding_data(*args)
             warm = {s: quot_cohomology(shared, s) for s in order}
             assert [warm[s] for s in sheaves] == cold, args
 
 
-def test_g1_weights_built_once_per_twist(monkeypatch):
+def test_g1_weights_built_once_per_twist(monkeypatch, cold_caches):
     # every term of a G1-twisted sheaf reads the same quotient weights
     built = []
     real = quot._pieri_chain
@@ -314,19 +341,20 @@ def test_g1_weights_built_once_per_twist(monkeypatch):
     assert sorted(t for t in built if t[1]) == [("sym", (2,)), ("wedge", (1,))]
 
 
-def test_reference_terms_leave_the_memo_empty():
+def test_reference_terms_leave_the_memo_empty(cold_caches):
     # resolution_terms is the reference the memo is checked against, so it
     # neither reads nor fills it
     data = embedding_data(2, None, 2, 0, 2)
     for ell in range(data.rank_e + 1):
         resolution_terms(data, sym_power(2, G1), ell)
         resolution_terms(data, dual_wedge_product(((1, G1), (1, G2))), ell)
-    assert data._profiles == {}
+    info = quot._fill_profiles.cache_info()
+    assert info.hits == info.misses == info.currsize == 0
 
 
-def test_one_entry_per_twist_pair():
+def test_one_entry_per_twist_pair(cold_caches):
     # every term of every sheaf under one pair (G1 twist, G2 twist) shares
-    # one entry, keyed by the two twists alone: no key names a term.  The
+    # one entry, keyed by the embedding and the two twists alone.  The
     # walk leaves pieces in term 3 of sym^3 on G2 whose G2 factors are all
     # acyclic, and the entry leaves that term out.
     data = embedding_data(2, None, 2, 0, 2)
@@ -335,28 +363,30 @@ def test_one_entry_per_twist_pair():
                wedge_power(0, G1), sym_power(3, G2))
     for sheaf in sheaves:
         quot_cohomology(data, sheaf)
-    assert sorted(data._profiles) == [("dual", (1,), "dual", (1,)),
-                                      ("sym", (2,), "wedge", ()),
-                                      ("wedge", (), "sym", (3,)),
-                                      ("wedge", (), "wedge", ()),
-                                      ("wedge", (), "wedge", (1,)),
-                                      ("wedge", (1,), "wedge", ())]
-    assert not any(isinstance(x, int) for key in data._profiles for x in key)
-    for entry in data._profiles.values():
+    keys = [(("dual", (1,)), ("dual", (1,))), (("sym", (2,)), ("wedge", ())),
+            (("wedge", ()), ("sym", (3,))), (("wedge", ()), ("wedge", ())),
+            (("wedge", ()), ("wedge", (1,))), (("wedge", (1,)), ("wedge", ()))]
+    info = quot._fill_profiles.cache_info()
+    assert info.misses == info.currsize == 6
+    entries = [quot._fill_profiles(data, *key) for key in keys]
+    assert quot._fill_profiles.cache_info().misses == 6
+    for entry in entries:
         # one profile per term with cohomology, in term order
         assert list(entry) == sorted(entry)
         assert set(entry) <= set(range(data.rank_e + 1))
         assert all(not p.is_zero for p in entry.values())
 
 
-def test_memo_stores_only_terms_with_pieces():
+def test_memo_stores_only_terms_with_pieces(cold_caches):
     # On the sweep's (4, 2, 0, 2), wedge^1 on G2 has cohomology in 1 of its
     # 25 terms: the pair entry holds that one, and every other term reads
     # as the shared empty profile
     data = embedding_data(4, None, 2, 0, 2)
     sheaf = wedge_power(1, G2)
     res = quot_cohomology(data, sheaf)
-    entry = data._profiles[(*quot._twist(sheaf, G1), *quot._twist(sheaf, G2))]
+    entry = quot._fill_profiles(data, quot._twist(sheaf, G1),
+                                quot._twist(sheaf, G2))
+    assert quot._fill_profiles.cache_info()[:2] == (1, 1)
     assert 0 < len(entry) < data.rank_e + 1
     assert [ell for ell, _ in res.per_term] == list(range(data.rank_e + 1))
     assert {ell: p for ell, p in res.per_term if not p.is_zero} == entry
@@ -365,10 +395,10 @@ def test_memo_stores_only_terms_with_pieces():
     assert all(p is quot._ACYCLIC for p in zero)
 
 
-def test_memo_hit_runs_no_walk_and_no_expansion(monkeypatch):
+def test_memo_hit_runs_no_walk_and_no_expansion(monkeypatch, cold_caches):
     # the factors of a dual product commute, so both orders of one product
     # read one entry; the second order finds it filled, so it neither walks
-    # nor expands, and gets the answer of a cold embedding
+    # nor expands, and gets the answer of cold caches
     def refuse(*args):
         raise AssertionError("a memo hit walked or expanded")
 
@@ -376,15 +406,18 @@ def test_memo_hit_runs_no_walk_and_no_expansion(monkeypatch):
     second_order = ((1, G1), (2, G2), (1, G2))
     data = embedding_data(3, None, 1, 1, 2)
     first = quot_cohomology(data, dual_wedge_product(first_order))
-    key = ("dual", (1,), "dual", (2, 1))
-    assert list(data._profiles) == [key]
-    entry = data._profiles[key]
+    entry = quot._fill_profiles(data, ("dual", (1,)), ("dual", (2, 1)))
+    assert quot._fill_profiles.cache_info()[:2] == (1, 1)
     assert len(entry) == 5  # the hit has terms to read
     with monkeypatch.context() as patch:
         patch.setattr(quot, "_fill_live", refuse)
         patch.setattr(quot, "_double_bundle_cached", refuse)
         second = quot_cohomology(data, dual_wedge_product(second_order))
-    assert list(data._profiles) == [key] and data._profiles[key] is entry
+    info = quot._fill_profiles.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    assert quot._fill_profiles(data, ("dual", (1,)), ("dual", (2, 1))) \
+        is entry
+    _clear(cold_caches)
     cold = quot_cohomology(embedding_data(3, None, 1, 1, 2),
                            dual_wedge_product(second_order))
     assert first == second == cold
@@ -496,11 +529,15 @@ def test_hot_path_never_lists_every_cauchy_piece(monkeypatch):
             assert (res.chi, res.dims, nonzero) == want, (args, functor, ks)
 
 
-def test_warm_embedding_equals_cold():
+def test_warm_embedding_equals_cold(cold_caches):
+    # an embedding is a plain value: resolving on it changes nothing in it,
+    # and every field takes part in eq, hash and repr
     warm = embedding_data(2, (1, 0), 2, 0, 2)
-    cold = embedding_data(2, (1, 0), 2, 0, 2)
     quot_cohomology(warm, sym_power(2, G1))
-    assert warm._profiles and not cold._profiles
+    cold = embedding_data(2, (0, 1), 2, 0, 2)
+    assert all(f.compare and f.hash is None and f.repr
+               for f in dataclasses.fields(quot.EmbeddingData))
+    assert vars(warm) == vars(cold)
     assert warm == cold
     assert hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
@@ -692,11 +729,11 @@ def test_conjecture_bound_sharpness_probe():
     print(f"sharpness probe: k={k} computed chi={chi} closed form={predicted}")
 
 
-def test_recursive_walks_leave_no_reference_cycles():
+def test_recursive_walks_leave_no_reference_cycles(cold_caches):
     # Each walk frees its work when it returns, so the cyclic collector
     # finds nothing after the raw enumerations and a whole resolution.
-    # _pieri_sym_cached is called through __wrapped__ so a warm cache
-    # cannot skip its walk.
+    # _pieri_sym_cached is called through __wrapped__, and every cache is
+    # cleared, so a warm cache cannot skip a walk.
     data = embedding_data(2, None, 2, 0, 3)
     gc.collect()
     gc.disable()
