@@ -18,9 +18,8 @@ Degenerate ends n = 0 and n = d (the Grassmannian is a point) are allowed;
 they arise in the Quot embedding whenever one of the two factors collapses.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import Optional
 
 from .partitions import (
     CACHE_ENTRIES,
@@ -33,16 +32,15 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class GrassmannianContext:
+class GrassmannianContext(namedtuple("GrassmannianContext", "d n")):
     """Ambient dimension d and quotient rank n, with 0 <= n <= d."""
 
-    d: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.n <= self.d:
-            raise ValueError(f"need 0 <= n <= d, got d={self.d}, n={self.n}")
+    def __new__(cls, d: int, n: int):
+        if not 0 <= n <= d:
+            raise ValueError(f"need 0 <= n <= d, got d={d}, n={n}")
+        return tuple.__new__(cls, (d, n))
 
     @property
     def sub_rank(self) -> int:
@@ -61,34 +59,27 @@ def check_weight(entries, length: int, what: str) -> tuple:
     return w
 
 
-@dataclass(frozen=True)
-class HomogeneousBundle:
+class HomogeneousBundle(namedtuple("HomogeneousBundle", "ctx quot sub")):
     """S_quot(B) . S_sub(A) on the Grassmannian ctx."""
 
-    ctx: GrassmannianContext
-    quot: tuple
-    sub: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "quot",
-                           check_weight(self.quot, self.ctx.n, "quotient"))
-        object.__setattr__(self, "sub",
-                           check_weight(self.sub, self.ctx.sub_rank, "sub"))
+    def __new__(cls, ctx: GrassmannianContext, quot, sub):
+        return tuple.__new__(cls, (
+            ctx, check_weight(quot, ctx.n, "quotient"),
+            check_weight(sub, ctx.sub_rank, "sub")))
 
     def rank(self) -> int:
         return weyl_dim(self.quot, self.ctx.n) * weyl_dim(
             self.sub, self.ctx.sub_rank)
 
 
-@dataclass(frozen=True)
-class BWBResult:
+class BWBResult(namedtuple("BWBResult", "vanishes degree gl_weight dimension",
+                           defaults=(None, None, None))):
     """Either total vanishing, or a single group H^degree = S_gl_weight of
     the given dimension."""
 
-    vanishes: bool
-    degree: Optional[int] = None
-    gl_weight: Optional[tuple] = None
-    dimension: Optional[int] = None
+    __slots__ = ()
 
 
 def quot_dual_bundle(ctx: GrassmannianContext, nu) -> HomogeneousBundle:
@@ -105,7 +96,7 @@ def sub_bundle(ctx: GrassmannianContext, mu) -> HomogeneousBundle:
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
-def bwb_weight(d: int, weight: tuple) -> Optional[tuple]:
+def bwb_weight(d: int, weight: tuple) -> tuple | None:
     """Borel-Weil-Bott on a concatenated weight quot + sub of length d.
 
     Returns None when every group vanishes, else (degree, gl_weight,
@@ -146,7 +137,7 @@ def euler_char(bundle: HomogeneousBundle) -> int:
     return sum((-1) ** i * v for i, v in cohomology_dims(bundle).items())
 
 
-def _window_row(mu: tuple, width: int, k: int) -> Optional[int]:
+def _window_row(mu: tuple, width: int, k: int) -> int | None:
     """Smallest j with j - 1 <= mu_j <= width + j - 1 and mu_j != j + k - 1,
     reading row len(mu) + 1 as 0, or None.  At k = 0: j <= mu_j."""
     for j in range(1, len(mu) + 2):
@@ -156,7 +147,7 @@ def _window_row(mu: tuple, width: int, k: int) -> Optional[int]:
     return None
 
 
-def vanishes_sub_condition(mu, n: int) -> Optional[int]:
+def vanishes_sub_condition(mu, n: int) -> int | None:
     """Smallest j with j <= mu_j <= n + j - 1, or None.
 
     When some j qualifies, S_mu(A) on any G(d, n) has no cohomology.
@@ -164,7 +155,7 @@ def vanishes_sub_condition(mu, n: int) -> Optional[int]:
     return _window_row(as_partition(mu), n, 0)
 
 
-def vanishes_quot_dual_condition(nu, d: int, n: int) -> Optional[int]:
+def vanishes_quot_dual_condition(nu, d: int, n: int) -> int | None:
     """Smallest j with j <= nu_j <= d - n + j - 1, or None.
 
     When some j qualifies, S_nu(B dual) on G(d, n) has no cohomology.
@@ -175,7 +166,7 @@ def vanishes_quot_dual_condition(nu, d: int, n: int) -> Optional[int]:
     return _window_row(nu, d - n, 0)
 
 
-def vanishes_plus_condition(mu, n: int, k: int) -> Optional[int]:
+def vanishes_plus_condition(mu, n: int, k: int) -> int | None:
     """Smallest j with j - 1 <= mu_j <= n + j - 1 and mu_j != j + k - 1.
 
     When some j qualifies, S_mu(A) tensored with the k-th exterior power of

@@ -209,16 +209,18 @@ def _cmd_cohomology(args):
 
 
 def _cmd_theorem(args):
-    """Theorem A or B on one power of degree --k, or C on the dualized
-    product of --ks; C's verdict is that every term is acyclic."""
+    """Theorem A or B (target theorem-a or theorem-b) on one power of
+    degree --k, or C on the dualized product of --ks; C's verdict is that
+    every term is acyclic."""
     data = _data_from_args(args)
-    c = args.theorem == "C"
+    which = args.target[-1].upper()
+    c = which == "C"
     factors = _parse_factors(args) if c else ((args.k,), (args.side,))
-    report = verify_theorem(data, args.theorem, *factors)
+    report = verify_theorem(data, which, *factors)
     head = ({"all_zero": report.verified} if c
             else {"expected_h0": report.expected_h0})
     return {
-        "theorem": args.theorem,
+        "theorem": which,
         **head,
         "computed": _cohomology_doc(report.computed),
         "verified": report.verified,
@@ -395,43 +397,70 @@ def _sheaf_flags(p):
     p.set_defaults(func=_cmd_cohomology)
 
 
-def _verify_flags(p):
-    targets = p.add_subparsers(dest="target", required=True)
-    for name, which in (("theorem-a", "A"), ("theorem-b", "B")):
-        t = targets.add_parser(name, help=f"Theorem {which} on one embedding")
-        _add_embedding_flags(t)
-        t.add_argument("--k", type=int, required=True)
-        t.add_argument("--side", choices=(G1, G2), default=G2)
-        t.set_defaults(func=_cmd_theorem, theorem=which)
+def _power_theorem_flags(t):
+    _add_embedding_flags(t)
+    t.add_argument("--k", type=int, required=True)
+    t.add_argument("--side", choices=(G1, G2), default=G2)
 
-    t = targets.add_parser("theorem-c", help="Theorem C on one embedding")
+
+def _theorem_c_flags(t):
     _add_embedding_flags(t)
     t.add_argument("--ks", type=str, required=True)
     t.add_argument("--sides", type=str, default="")
-    t.set_defaults(func=_cmd_theorem, theorem="C")
 
-    t = targets.add_parser("props", help="per-term acyclicity of the "
-                           "resolutions of three sheaves")
+
+def _props_flags(t):
     _add_embedding_flags(t)
     t.add_argument("--wedge-k", dest="wedge_k", type=int, default=None)
     t.add_argument("--sym-k", dest="sym_k", type=int, default=None)
     t.add_argument("--dual-ks", dest="dual_ks", type=str, default="")
-    t.set_defaults(func=_cmd_props)
 
-    grids = {}
-    for name, fn in (("prop-3.1", _cmd_prop_31), ("prop-3.2", _cmd_prop_32),
-                     ("prop-3.3", _cmd_prop_33)):
-        t = grids[name] = targets.add_parser(
-            name, help=f"Proposition {name[5:]} on a grid of partitions")
-        t.add_argument("--d", type=int, required=True)
-        t.add_argument("--n", type=int, required=True)
-        t.add_argument("--max-size", dest="max_size", type=int, default=None)
-        t.set_defaults(func=fn)
-    grids["prop-3.2"].add_argument("--sym-cap", dest="sym_cap", type=int,
-                                   default=None, help="default 2n")
-    grids["prop-3.3"].add_argument("--r", type=int, required=True)
-    grids["prop-3.3"].add_argument("--mode", choices=("plain", "plus"),
-                                   default="plain")
+
+def _grid_flags(t):
+    t.add_argument("--d", type=int, required=True)
+    t.add_argument("--n", type=int, required=True)
+    t.add_argument("--max-size", dest="max_size", type=int, default=None)
+
+
+def _prop_32_flags(t):
+    _grid_flags(t)
+    t.add_argument("--sym-cap", dest="sym_cap", type=int, default=None,
+                   help="default 2n")
+
+
+def _prop_33_flags(t):
+    _grid_flags(t)
+    t.add_argument("--r", type=int, required=True)
+    t.add_argument("--mode", choices=("plain", "plus"), default="plain")
+
+
+_GRID_HELP = "Proposition {} on a grid of partitions"
+
+# Each verify target's help line, flag builder and command, in the order
+# help lists them.
+_VERIFY_TARGETS = {
+    "theorem-a": ("Theorem A on one embedding", _power_theorem_flags,
+                  _cmd_theorem),
+    "theorem-b": ("Theorem B on one embedding", _power_theorem_flags,
+                  _cmd_theorem),
+    "theorem-c": ("Theorem C on one embedding", _theorem_c_flags,
+                  _cmd_theorem),
+    "props": ("per-term acyclicity of the resolutions of three sheaves",
+              _props_flags, _cmd_props),
+    "prop-3.1": (_GRID_HELP.format("3.1"), _grid_flags, _cmd_prop_31),
+    "prop-3.2": (_GRID_HELP.format("3.2"), _prop_32_flags, _cmd_prop_32),
+    "prop-3.3": (_GRID_HELP.format("3.3"), _prop_33_flags, _cmd_prop_33),
+}
+
+
+def _verify_flags(p, target=None):
+    """The verify targets: only target when it names one, else all."""
+    targets = p.add_subparsers(dest="target", required=True)
+    for name, (help_, add_flags, func) in _VERIFY_TARGETS.items():
+        if target in (None, name):
+            t = targets.add_parser(name, help=help_)
+            add_flags(t)
+            t.set_defaults(func=func)
 
 
 def _conjecture_flags(p):
@@ -467,19 +496,24 @@ _COMMANDS = {
 }
 
 
-@lru_cache(maxsize=len(_COMMANDS) + 1)
-def build_parser(command=None) -> _Parser:
+@lru_cache(maxsize=len(_COMMANDS) + len(_VERIFY_TARGETS) + 1)
+def build_parser(command=None, target=None) -> _Parser:
     """The parser of one command, built once per process: argparse's
     objects form reference cycles, and every flag default is immutable, so
     one parser serves every call of run.  run passes the command its argv
     names, and that parser knows no other; None builds every command, for
-    help ahead of the command and for the errors that list the choices."""
+    help ahead of the command and for the errors that list the choices.
+    The same holds one level down for verify's target."""
     parser = _Parser(prog="quotcoh", description=__doc__)
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_, add_flags) in _COMMANDS.items():
         if command in (None, name):
-            add_flags(sub.add_parser(name, help=help_))
+            p = sub.add_parser(name, help=help_)
+            if target is None:
+                add_flags(p)
+            else:
+                add_flags(p, target)
     return parser
 
 
@@ -498,7 +532,13 @@ def run(argv) -> int:
         # a help flag ahead of the command, no command or an unknown one
         # is answered by the parser of every command
         command = ns.rest[0] if ns.rest and not ns.help else None
-        parser = build_parser(command if command in _COMMANDS else None)
+        if command not in _COMMANDS:
+            command = None
+        # and verify's parser builds the target that follows it, if any
+        target = (ns.rest + [None])[1] if command == "verify" else None
+        if target not in _VERIFY_TARGETS:
+            target = None
+        parser = build_parser(command, target)
         if unknown:
             parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         args = parser.parse_args(argv)

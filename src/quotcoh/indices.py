@@ -21,9 +21,8 @@ fill.  indexed_partitions lists the grids' inputs from one walk of the
 box, by increasing size.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import neg
-from typing import Optional
 
 from .bott import bwb_weight
 from .partitions import as_partition, box_by_size, part, transpose
@@ -34,14 +33,12 @@ SHAPE_A = "a"
 SHAPE_B = "b"
 
 
-@dataclass(frozen=True)
-class IndexReport:
-    defined: bool
-    index: Optional[int] = None
-    shape: Optional[str] = None
+class IndexReport(namedtuple("IndexReport", "defined index shape",
+                             defaults=(None, None))):
+    __slots__ = ()
 
 
-def _column_index(cols: tuple, n: int, k: int) -> Optional[int]:
+def _column_index(cols: tuple, n: int, k: int) -> int | None:
     """Largest j with h_j >= n + j, or None when there is none or another
     column has j - 1 <= h_j < n + j, h_j != j + k - 1 (k = 0: h_j >= j)."""
     best = None
@@ -53,7 +50,7 @@ def _column_index(cols: tuple, n: int, k: int) -> Optional[int]:
     return best
 
 
-def _check_index_args(lam: tuple, n: int, k: Optional[int]):
+def _check_index_args(lam: tuple, n: int, k: int | None):
     # The arguments n_index (k None) and kn_index reject; lam is normalized.
     if k is None:
         if n < 0:
@@ -67,7 +64,7 @@ def _check_index_args(lam: tuple, n: int, k: Optional[int]):
         raise ValueError(f"the index of {lam} is undefined by fiat")
 
 
-def _report(cols: tuple, n: int, k: Optional[int]) -> IndexReport:
+def _report(cols: tuple, n: int, k: int | None) -> IndexReport:
     # The index of the partition with columns cols: plain when k is None,
     # else the k-variant with its shape.
     best = _column_index(cols, n, k or 0)
@@ -98,28 +95,18 @@ def kn_index(lam, k: int, n: int) -> IndexReport:
     return _report(transpose(lam), n, k)
 
 
-@dataclass(frozen=True)
-class SummandCheck:
-    delta: tuple
-    multiplicity: int
-    in_window: bool
-    bott_vanishes: bool
+class SummandCheck(namedtuple("SummandCheck",
+                              "delta multiplicity in_window bott_vanishes")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.in_window and self.bott_vanishes
 
 
-@dataclass(frozen=True)
-class VanishingRecord:
-    d: int
-    n: int
-    lam: tuple
-    index: int
-    kind: str
-    ks: tuple
-    summands: tuple
-    ok: bool
+class VanishingRecord(namedtuple("VanishingRecord",
+                                 "d n lam index kind ks summands ok")):
+    __slots__ = ()
 
 
 def _certify(d, n, lam, index, kind, functor, ks) -> VanishingRecord:
@@ -146,8 +133,8 @@ def _certify(d, n, lam, index, kind, functor, ks) -> VanishingRecord:
                            all(c.ok for c in checks))
 
 
-def _indexed(d: int, n: int, r: int, lam, mode: Optional[str] = None,
-             k: Optional[int] = None) -> tuple:
+def _indexed(d: int, n: int, r: int, lam, mode: str | None = None,
+             k: int | None = None) -> tuple:
     """The prologue every certificate shares, and the one place it checks
     lam: lam normalized once, fitting the (2n) x (d-n-r-1) box, with its
     index (the k-variant in plus mode) read from its columns."""
@@ -195,7 +182,7 @@ def verify_sym_vanishing(d: int, n: int, lam, k: int) -> VanishingRecord:
 
 def verify_dual_vanishing(d: int, n: int, r: int, lam, ks,
                           mode: str = "plain",
-                          k: Optional[int] = None) -> VanishingRecord:
+                          k: int | None = None) -> VanishingRecord:
     """Certify vanishing after tensoring with dual exterior powers.
 
     In plain mode lam needs a defined index and ks lists the r dual wedge
@@ -219,8 +206,8 @@ def verify_dual_vanishing(d: int, n: int, r: int, lam, ks,
 
 
 def indexed_partitions(d: int, n: int, r: int = 0,
-                       max_size: Optional[int] = None,
-                       k: Optional[int] = None) -> list:
+                       max_size: int | None = None,
+                       k: int | None = None) -> list:
     """Nonzero partitions in the (2n) x (d-n-r-1) box carrying an index, as
     (lam, IndexReport) pairs by increasing size, each size in
     enumerate_in_box's order.
@@ -246,18 +233,12 @@ def indexed_partitions(d: int, n: int, r: int = 0,
     return out
 
 
-@dataclass(frozen=True)
-class TripleCheck:
+class TripleCheck(namedtuple("TripleCheck", "alpha beta gamma alpha_row_ge_i "
+                             "prefix_bound gamma_window gamma_tail")):
     """One (alpha, beta, gamma) triple from the doubled-bundle expansion,
     with the supporting inequalities evaluated at the index i."""
 
-    alpha: tuple
-    beta: tuple
-    gamma: tuple
-    alpha_row_ge_i: bool
-    prefix_bound: bool
-    gamma_window: bool
-    gamma_tail: bool
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

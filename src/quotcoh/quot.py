@@ -116,11 +116,14 @@ sheaf pays only for its few terms with cohomology.  The walk's output
 depends on both twists, hence the pair key.  The key is exact: a profile
 depends only on (N, splitting, n, r, m), which an EmbeddingData's equality
 compares, and on the twists; so equal embeddings built apart share entries.
+Records are namedtuples, equal to plain tuples with the same entries, but
+every key holds an EmbeddingData in its first slot and only there, with a
+(functor, ks) twist in each other slot, so tuple equality cannot mix up
+two entries.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
-from typing import Optional
 
 from .bott import (
     GrassmannianContext,
@@ -135,66 +138,57 @@ G1 = "G1"
 G2 = "G2"
 
 
-@dataclass(frozen=True)
-class EmbeddingData:
+class EmbeddingData(namedtuple("EmbeddingData",
+                               "N splitting n r m d1 d2 q1 q2 rank_e")):
     """Numerical data of the two-Grassmannian embedding.
 
     splitting lists the degrees of the summands of the bundle being
     quotiented (all zero for the trivial bundle), n and r are the degree and
     rank of the quotients, and m is the twist; sections of twists m-1 and m
-    span the two factor Grassmannians.
+    span the two factor Grassmannians.  d1, d2, q1, q2 and rank_e are
+    derived from the first five fields.
     """
 
-    N: int
-    splitting: tuple
-    n: int
-    r: int
-    m: int
-    d1: int = field(init=False)
-    d2: int = field(init=False)
-    q1: int = field(init=False)
-    q2: int = field(init=False)
-    rank_e: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        splitting = tuple(sorted((int(a) for a in self.splitting),
-                                 reverse=True))
-        object.__setattr__(self, "splitting", splitting)
-        if self.N < 1:
-            raise ValueError(f"need N >= 1, got N={self.N}")
-        if len(splitting) != self.N:
+    def __new__(cls, N: int, splitting: tuple, n: int, r: int, m: int):
+        splitting = tuple(sorted((int(a) for a in splitting), reverse=True))
+        if N < 1:
+            raise ValueError(f"need N >= 1, got N={N}")
+        if len(splitting) != N:
             raise ValueError("splitting must list one degree per summand")
-        if not 0 <= self.r <= self.N - 1:
-            raise ValueError(f"need 0 <= r <= N-1, got r={self.r}")
-        if self.n < 0:
+        if not 0 <= r <= N - 1:
+            raise ValueError(f"need 0 <= r <= N-1, got r={r}")
+        if n < 0:
             raise ValueError("n must be nonnegative")
         deg = sum(splitting)
-        min_m = self.n + (self.N - 1) * splitting[0] - deg
-        if self.m < min_m:
-            raise ValueError(f"twist m={self.m} too small; the embedding "
+        min_m = n + (N - 1) * splitting[0] - deg
+        if m < min_m:
+            raise ValueError(f"twist m={m} too small; the embedding "
                              f"needs m >= {min_m}")
-        d1 = deg + self.N * self.m
-        d2 = deg + self.N * (self.m + 1)
-        q1 = self.n + self.r * self.m
-        q2 = self.n + self.r * (self.m + 1)
+        d1 = deg + N * m
+        d2 = deg + N * (m + 1)
+        q1 = n + r * m
+        q2 = n + r * (m + 1)
         if not (0 <= q1 <= d1 and 0 <= q2 <= d2):
             raise ValueError("degenerate embedding: quotient ranks exceed "
                              "section space dimensions")
         rank_e = (d1 - q1) * 2 * q2
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "q2", q2)
-        object.__setattr__(self, "rank_e", rank_e)
         if all(a == 0 for a in splitting):
             # The section is regular, so the rank of E must equal the
             # codimension of the Quot scheme in the ambient product.
             ambient = q1 * (d1 - q1) + q2 * (d2 - q2)
-            quot_dim = self.N * self.n + self.r * (self.N - self.r)
+            quot_dim = N * n + r * (N - r)
             if rank_e != ambient - quot_dim:
                 raise AssertionError(
                     f"codimension check failed: rank E = {rank_e}, ambient "
                     f"dim {ambient}, Quot dim {quot_dim}")
+        return tuple.__new__(cls, (N, splitting, n, r, m, d1, d2, q1, q2,
+                                   rank_e))
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild an embedding from its five inputs
+        return tuple(self[:5])
 
     @property
     def ctx1(self) -> GrassmannianContext:
@@ -227,34 +221,31 @@ def embedding_data(N: int, splitting, n: int, r: int, m: int) -> EmbeddingData:
     return EmbeddingData(N, tuple(splitting), n, r, m)
 
 
-@dataclass(frozen=True)
-class TautologicalSheaf:
+class TautologicalSheaf(namedtuple("TautologicalSheaf", "functor ks sides")):
     """A tautological sheaf to resolve: one exterior or symmetric power, or
     a product of dualized exterior powers.
 
-    Each degree k comes with the side naming the twist that realizes the
-    underlying line bundle: G2 for degree m, G1 for degree m - 1.
+    functor is "wedge", "sym" or "dual".  Each degree k comes with the side
+    naming the twist that realizes the underlying line bundle: G2 for
+    degree m, G1 for degree m - 1.
     """
 
-    functor: str  # "wedge" | "sym" | "dual"
-    ks: tuple
-    sides: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.functor not in ("wedge", "sym", "dual"):
-            raise ValueError(f"unknown functor {self.functor!r}")
-        ks = tuple(int(k) for k in self.ks)
-        sides = tuple(self.sides)
-        object.__setattr__(self, "ks", ks)
-        object.__setattr__(self, "sides", sides)
+    def __new__(cls, functor: str, ks: tuple, sides: tuple):
+        if functor not in ("wedge", "sym", "dual"):
+            raise ValueError(f"unknown functor {functor!r}")
+        ks = tuple(int(k) for k in ks)
+        sides = tuple(sides)
         if len(ks) != len(sides):
             raise ValueError("each degree needs a side")
         if any(s not in (G1, G2) for s in sides):
             raise ValueError("sides must be G1 or G2")
-        if self.functor in ("wedge", "sym") and len(ks) != 1:
+        if functor in ("wedge", "sym") and len(ks) != 1:
             raise ValueError("wedge and sym take a single degree")
         if any(k < 0 for k in ks):
             raise ValueError("degrees must be nonnegative")
+        return tuple.__new__(cls, (functor, ks, sides))
 
     def describe(self) -> str:
         if self.functor == "dual":
@@ -332,10 +323,9 @@ def _quotient_weights(dual, q: int, functor: str, ks: tuple) -> dict:
     return {negate_reverse(w): m for w, m in twisted.items()}
 
 
-@dataclass(frozen=True)
-class ResolutionTerm:
-    ell: int
-    summands: tuple  # of (HomogeneousBundle, HomogeneousBundle, multiplicity)
+class ResolutionTerm(namedtuple("ResolutionTerm", "ell summands")):
+    # summands: (HomogeneousBundle, HomogeneousBundle, multiplicity) triples
+    __slots__ = ()
 
     def total_rank(self) -> int:
         return sum(m * b1.rank() * b2.rank() for b1, b2, m in self.summands)
@@ -374,11 +364,11 @@ def resolution_terms(data: EmbeddingData, sheaf: TautologicalSheaf,
     return ResolutionTerm(ell, tuple((b1, b2, m) for (b1, b2), m in ordered))
 
 
-@dataclass(frozen=True)
-class CohomologyProfile:
-    """Cohomology dimensions by degree, with the alternating sum."""
+class CohomologyProfile(namedtuple("CohomologyProfile", "dims")):
+    """Cohomology dimensions by degree, with the alternating sum: dims is a
+    tuple of (degree, dimension) pairs by increasing degree."""
 
-    dims: tuple  # of (degree, dimension), increasing degrees
+    __slots__ = ()
 
     @property
     def chi(self) -> int:
@@ -541,20 +531,18 @@ def term_profiles(data: EmbeddingData, sheaf: TautologicalSheaf):
         yield ell, profiles.get(ell, _ACYCLIC)
 
 
-@dataclass(frozen=True)
-class QuotCohomology:
+class QuotCohomology(namedtuple("QuotCohomology",
+                                "chi degenerate dims per_term")):
     """Outcome of pushing a tautological sheaf through the resolution.
 
     chi is always valid: the Euler characteristic is additive along the
     resolution.  dims reports actual cohomology of the sheaf on Quot and is
-    only available when the degeneration flag certifies that every term in
-    degrees >= 1 is acyclic.
+    only available (else None) when the degeneration flag certifies that
+    every term in degrees >= 1 is acyclic.  per_term holds the
+    (ell, CohomologyProfile) pairs.
     """
 
-    chi: int
-    degenerate: bool
-    dims: Optional[tuple]
-    per_term: tuple  # of (ell, CohomologyProfile)
+    __slots__ = ()
 
 
 def quot_cohomology(data: EmbeddingData,
@@ -568,13 +556,9 @@ def quot_cohomology(data: EmbeddingData,
     return QuotCohomology(chi, degenerate, dims, per_term)
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    which: str
-    sheaf: TautologicalSheaf
-    expected_h0: int
-    computed: QuotCohomology
-    verified: bool
+class TheoremReport(namedtuple("TheoremReport",
+                               "which sheaf expected_h0 computed verified")):
+    __slots__ = ()
 
 
 def _check_theorem_c(data: EmbeddingData, ks: tuple, sides: tuple):
@@ -625,13 +609,11 @@ def verify_theorem(data: EmbeddingData, which: str, ks, sides=None) -> TheoremRe
                          computed.dims == want)
 
 
-@dataclass(frozen=True)
-class PropositionReport:
-    """Per-degree acyclicity table for one resolution."""
+class PropositionReport(namedtuple("PropositionReport", "sheaf rows ok")):
+    """Per-degree acyclicity table for one resolution: rows holds the
+    (ell, CohomologyProfile, ok) triples."""
 
-    sheaf: TautologicalSheaf
-    rows: tuple  # of (ell, CohomologyProfile, ok)
-    ok: bool
+    __slots__ = ()
 
 
 def check_proposition_hypotheses(data: EmbeddingData,
@@ -669,15 +651,9 @@ def verify_resolution_propositions(data: EmbeddingData,
     return PropositionReport(sheaf, tuple(rows), all(r[2] for r in rows))
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
-    which: str
-    ks: tuple
-    deg_ls: tuple
-    predicted: int
-    computed: int
-    bound: int
-    verified: bool
+class ConjectureReport(namedtuple("ConjectureReport", "which ks deg_ls "
+                                  "predicted computed bound verified")):
+    __slots__ = ()
 
 
 def _side_for_degree(data: EmbeddingData, deg_l: int) -> str:

@@ -14,7 +14,7 @@ k > n.  Comparing the two tables entry by entry is a finite, exact
 verification of the closed forms.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .quot import (
     G2,
@@ -67,11 +67,11 @@ def resolution_series(kind: str, N: int, deg_l: int, n_max: int,
     return table
 
 
-@dataclass(frozen=True)
-class SeriesComparison:
-    mismatches: tuple  # of (n, k, resolution value, closed form value)
-    resolution: list  # resolution_series table
-    closed: list  # closed_form table
+class SeriesComparison(namedtuple("SeriesComparison",
+                                  "mismatches resolution closed")):
+    # mismatches: (n, k, resolution value, closed form value) tuples;
+    # resolution and closed: the resolution_series and closed_form tables
+    __slots__ = ()
 
     @property
     def equal(self) -> bool:

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -176,8 +175,8 @@ def test_failed_verdicts_exit_1(capsys, monkeypatch):
     # run alone turns a command's verdict into the exit code: a failed
     # theorem or grid exits 1 and still prints its document
     real_theorem = cli.verify_theorem
-    monkeypatch.setattr(cli, "verify_theorem", lambda *a: dataclasses.replace(
-        real_theorem(*a), verified=False))
+    monkeypatch.setattr(cli, "verify_theorem", lambda *a: real_theorem(
+        *a)._replace(verified=False))
     for argv in (("theorem-a", "--N", "2", "--n", "1", "--m", "1", "--k", "1"),
                  ("theorem-c", "--N", "3", "--n", "1", "--m", "1", "--ks",
                   "1,1", "--sides", "G2,G1")):
@@ -191,8 +190,7 @@ def test_failed_verdicts_exit_1(capsys, monkeypatch):
 
     def failing(d, n, r, lam, ks, mode, k):
         calls.append([str(x) for x in ks + (k,)])
-        return dataclasses.replace(real_dual(d, n, r, lam, ks, mode, k),
-                                   ok=False)
+        return real_dual(d, n, r, lam, ks, mode, k)._replace(ok=False)
 
     monkeypatch.setattr(indices, "verify_dual_vanishing", failing)
     code, doc = run_json(capsys, "verify", "prop-3.3", "--d", "8", "--n", "2",
@@ -503,7 +501,9 @@ def test_series_tables_share_no_stale_entries(capsys, cold_caches):
 
 def test_a_command_builds_only_its_own_parser(monkeypatch):
     # the top-level parser and the series parser, with --format, kind, the
-    # four flags of series and the two help flags
+    # four flags of series and the two help flags; a verify call builds
+    # the top-level, verify and target parsers, with --format, the three
+    # flags of prop-3.1 and the three help flags
     built, added = [], []
     init = argparse.ArgumentParser.__init__
     add = argparse.ArgumentParser.add_argument
@@ -524,6 +524,13 @@ def test_a_command_builds_only_its_own_parser(monkeypatch):
                         "--nmax", "2"])
     assert code == 0
     assert len(built) <= 2 and len(added) <= 8, (built, added)
+    built.clear()
+    added.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(["verify", "prop-3.1", "--d", "6", "--n", "2"])
+    assert code == 0
+    assert built == ["quotcoh", "quotcoh verify", "quotcoh verify prop-3.1"]
+    assert len(added) <= 7, added
 
 
 COMMANDS = "{lr,cauchy,bwb,index,chi,cohomology,verify,conjecture,series}"
@@ -555,6 +562,28 @@ def test_help_and_errors_name_every_command(capsys):
                          "2", "--degL", "2", "--nmax", "2")
     assert code == 2 and doc == {"error": "argument --format: invalid "
                                  "choice: 'xml' (choose from 'json', 'tsv')"}
+
+
+def test_verify_target_parser_prints_what_the_full_parser_prints(capsys):
+    # run builds only the verify target its argv names; help, errors and
+    # answers match those of the parser of every command and target
+    full = cli.build_parser()
+    for argv in (["verify", "--help"], ["verify", "prop-3.3", "--help"],
+                 ["verify", "bogus"], ["verify"], ["verify", "-h", "props"],
+                 ["verify", "theorem-b", "--help"],
+                 ["verify", "prop-3.1", "--d", "6", "--n", "2", "--m", "2"],
+                 ["verify", "theorem-a", "--N", "2", "--n", "1", "--m", "1",
+                  "--k", "1"]):
+        code, out = run_cli(capsys, *argv)
+        try:
+            args = full.parse_args(argv)
+        except SystemExit as exc:
+            want = exc.code or 0
+        else:
+            doc, verified = args.func(args)
+            cli._emit(doc, args.format)
+            want = 0 if verified else 1
+        assert (code, out) == (want, capsys.readouterr().out), argv
 
 
 def test_byte_stable_output(capsys):

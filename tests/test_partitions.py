@@ -177,12 +177,13 @@ def test_weyl_dim_matches_the_pairwise_product(entries):
 
 def test_every_engine_cache_is_bounded(cold_caches, capsys):
     # The engine's caches share one bound; the parser builder keeps one
-    # parser per command and one of every command, and an unknown command
-    # is served by the latter.  weyl_dim is a plain function: Borel-Weil-Bott
-    # stores the dimension with its answer.
+    # parser per command, one per verify target and one of every command,
+    # and an unknown command is served by the latter.  weyl_dim is a plain
+    # function: Borel-Weil-Bott stores the dimension with its answer.
     bounds = {name: cached.cache_parameters()["maxsize"]
               for name, cached in cold_caches.items()}
-    assert bounds.pop("quotcoh.cli.build_parser") == len(cli._COMMANDS) + 1
+    assert bounds.pop("quotcoh.cli.build_parser") == \
+        len(cli._COMMANDS) + len(cli._VERIFY_TARGETS) + 1
     for argv in (["bogus"], ["verify", "bogus"], ["Series"], []):
         assert cli.run(argv) == 2
     # the parser of every command and that of verify

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import gc
 import itertools
@@ -535,9 +534,13 @@ def test_warm_embedding_equals_cold(cold_caches):
     warm = embedding_data(2, (1, 0), 2, 0, 2)
     quot_cohomology(warm, sym_power(2, G1))
     cold = embedding_data(2, (0, 1), 2, 0, 2)
-    assert all(f.compare and f.hash is None and f.repr
-               for f in dataclasses.fields(quot.EmbeddingData))
-    assert vars(warm) == vars(cold)
+    fields = quot.EmbeddingData._fields
+    assert len(fields) == len(warm) == 10
+    assert all(f"{f}={getattr(warm, f)!r}" in repr(warm) for f in fields)
+    # no instance dict, so no state outside the fields
+    assert not hasattr(warm, "__dict__")
+    assert [getattr(warm, f) for f in fields] == [getattr(cold, f)
+                                                  for f in fields]
     assert warm == cold
     assert hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
