@@ -9,7 +9,9 @@ A homogeneous bundle S_nu(B) . S_mu(A) is encoded by the pair of dominant
 weights (nu, mu).  Its cohomology is computed by the dotted Weyl action on
 the concatenated weight: add the staircase rho = (d-1, ..., 1, 0); a repeated
 entry kills all cohomology, otherwise sorting decreasingly leaves a single
-group in degree equal to the number of inversions.  bwb_weight caches that
+group in degree equal to the number of inversions (Weyman, *Cohomology of
+Vector Bundles and Syzygies*, ch. 4).  bwb_weight finds the repeat, the
+inversions and the sorted order in one insertion pass, and caches that
 answer with its Weyl dimension, the one cache of this step: one pass of
 the benchmark's grid, series and sweep makes 1,814, 103 and 40 hits there
 against 297, 17 and 16 misses.
@@ -18,6 +20,7 @@ Degenerate ends n = 0 and n = d (the Grassmannian is a point) are allowed;
 they arise in the Quot embedding whenever one of the two factors collapses.
 """
 
+from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 
@@ -101,19 +104,20 @@ def bwb_weight(d: int, weight: tuple) -> tuple | None:
 
     Returns None when every group vanishes, else (degree, gl_weight,
     dimension).  The weight is taken as valid: callers check it once, as
-    HomogeneousBundle does.
+    HomogeneousBundle does.  Each shifted entry, from the last, is bisected
+    into the sorted entries after it: an equal one is a repeat, the ones
+    above it are its inversions, and the full list less rho is gl_weight.
     """
-    shifted = [weight[i] + d - 1 - i for i in range(d)]
-    if len(set(shifted)) < d:
-        return None
-    degree = sum(
-        1
-        for i in range(d)
-        for j in range(i + 1, d)
-        if shifted[i] < shifted[j]
-    )
-    shifted.sort(reverse=True)
-    gl = tuple(shifted[i] - (d - 1 - i) for i in range(d))
+    after = []
+    degree = 0
+    for k, w in enumerate(reversed(weight)):
+        shifted = w + k
+        pos = bisect_left(after, shifted)
+        if pos < len(after) and after[pos] == shifted:
+            return None
+        degree += len(after) - pos
+        after.insert(pos, shifted)
+    gl = tuple(s - k for k, s in enumerate(after))[::-1]
     return degree, gl, weyl_dim(gl, d)
 
 

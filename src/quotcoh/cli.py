@@ -361,14 +361,12 @@ def _lr_flags(p):
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--gamma", required=True)
-    p.set_defaults(func=_cmd_lr)
 
 
 def _cauchy_flags(p):
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--rank-left", dest="rank_left", type=int, required=True)
     p.add_argument("--rank-right", dest="rank_right", type=int, required=True)
-    p.set_defaults(func=_cmd_cauchy)
 
 
 def _bwb_flags(p):
@@ -376,14 +374,12 @@ def _bwb_flags(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--quot", required=True)
     p.add_argument("--sub", required=True)
-    p.set_defaults(func=_cmd_bwb)
 
 
 def _index_flags(p):
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    p.set_defaults(func=_cmd_index)
 
 
 def _sheaf_flags(p):
@@ -394,7 +390,6 @@ def _sheaf_flags(p):
     p.add_argument("--ks", type=str, default="")
     p.add_argument("--side", choices=(G1, G2), default=G2)
     p.add_argument("--sides", type=str, default="")
-    p.set_defaults(func=_cmd_cohomology)
 
 
 def _power_theorem_flags(t):
@@ -470,7 +465,6 @@ def _conjecture_flags(p):
     p.add_argument("--degL", type=int, default=None)
     p.add_argument("--ks", type=str, default="")
     p.add_argument("--degLs", type=str, default="")
-    p.set_defaults(func=_cmd_conjecture)
 
 
 def _series_flags(p):
@@ -479,20 +473,23 @@ def _series_flags(p):
     p.add_argument("--degL", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--splitting", type=str, default="")
-    p.set_defaults(func=_cmd_series)
 
 
-# Each command's help line and flag builder, in the order help lists them.
+# Each command's help line, flag builder and command, in the order help
+# lists them; verify's targets carry their own commands.
 _COMMANDS = {
-    "lr": ("one Littlewood-Richardson coefficient", _lr_flags),
-    "cauchy": ("exterior-power Cauchy index pairs", _cauchy_flags),
-    "bwb": ("cohomology of one homogeneous bundle", _bwb_flags),
-    "index": ("column index of a partition", _index_flags),
-    "chi": ("chi of a tautological sheaf", _sheaf_flags),
-    "cohomology": ("cohomology of a tautological sheaf", _sheaf_flags),
-    "verify": ("verify a stated claim on a grid", _verify_flags),
-    "conjecture": ("compare chi against a closed form", _conjecture_flags),
-    "series": ("generating-series comparison", _series_flags),
+    "lr": ("one Littlewood-Richardson coefficient", _lr_flags, _cmd_lr),
+    "cauchy": ("exterior-power Cauchy index pairs", _cauchy_flags,
+               _cmd_cauchy),
+    "bwb": ("cohomology of one homogeneous bundle", _bwb_flags, _cmd_bwb),
+    "index": ("column index of a partition", _index_flags, _cmd_index),
+    "chi": ("chi of a tautological sheaf", _sheaf_flags, _cmd_cohomology),
+    "cohomology": ("cohomology of a tautological sheaf", _sheaf_flags,
+                   _cmd_cohomology),
+    "verify": ("verify a stated claim on a grid", _verify_flags, None),
+    "conjecture": ("compare chi against a closed form", _conjecture_flags,
+                   _cmd_conjecture),
+    "series": ("generating-series comparison", _series_flags, _cmd_series),
 }
 
 
@@ -507,9 +504,10 @@ def build_parser(command=None, target=None) -> _Parser:
     parser = _Parser(prog="quotcoh", description=__doc__)
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, add_flags) in _COMMANDS.items():
+    for name, (help_, add_flags, func) in _COMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=help_)
+            p.set_defaults(func=func)
             if target is None:
                 add_flags(p)
             else:

@@ -33,9 +33,8 @@ SHAPE_A = "a"
 SHAPE_B = "b"
 
 
-class IndexReport(namedtuple("IndexReport", "defined index shape",
-                             defaults=(None, None))):
-    __slots__ = ()
+IndexReport = namedtuple("IndexReport", "defined index shape",
+                         defaults=(None, None))
 
 
 def _column_index(cols: tuple, n: int, k: int) -> int | None:
@@ -104,9 +103,8 @@ class SummandCheck(namedtuple("SummandCheck",
         return self.in_window and self.bott_vanishes
 
 
-class VanishingRecord(namedtuple("VanishingRecord",
-                                 "d n lam index kind ks summands ok")):
-    __slots__ = ()
+VanishingRecord = namedtuple("VanishingRecord",
+                             "d n lam index kind ks summands ok")
 
 
 def _certify(d, n, lam, index, kind, functor, ks) -> VanishingRecord:

@@ -148,9 +148,7 @@ def weyl_dim(w: tuple, d: int) -> int:
 def enumerate_in_box(max_rows: int, max_cols: int, total: int) -> list:
     """All partitions of the given size fitting in a max_rows x max_cols box,
     in decreasing lexicographic order."""
-    if min(max_rows, max_cols, total) < 0:
-        raise ValueError("arguments must be nonnegative")
-    return _walk_box(max_rows, max_cols, total, total)[0]
+    return box_by_size(max_rows, max_cols, total, total)
 
 
 def box_by_size(max_rows: int, max_cols: int, smallest: int,

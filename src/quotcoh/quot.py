@@ -91,7 +91,8 @@ of 17,500, which the expansion then decides.
 
 The walk runs the test as it builds mu (_g2_admits).  Column j of lam
 meets its first 2p rows in min(mu_j, 2p) boxes, so P_p = sum_j min(mu_j, 2p)
-and |lam| = sum_j mu_j are running sums of the rows chosen so far.  Before
+is a running sum of the rows chosen so far, and so is |lam| = P_q2, since
+no row of mu exceeds 2 q2.  Before
 the walk takes v as row j, with rest = s - j rows after it, each at most
 v, it bounds every completion of the rows so far, v included: P_p grows by
 at most rest * min(v, 2p), since a later row u adds min(u, 2p) <=
@@ -418,16 +419,16 @@ def _g2_bound(q: int, width: int, functor: str, ks: tuple) -> tuple:
     return q, width, down, 0, 0, -sum(ks)
 
 
-def _g2_admits(bound, tops, boxes, rest, v) -> bool:
-    """False when no completion of mu's rows so far (boxes in all, with
-    tops[p] = P_p) by up to rest more rows of at most v can give a G2 factor
-    the bound admits.  At rest = 0 it is the test on lam itself; True there
-    means only that the bound admits a weight with cohomology (see the
-    module docstring).  This is the walk's inner loop, so it spells out
-    min() as conditional expressions: the builtin call costs a third of
-    it."""
+def _g2_admits(bound, tops, rest, v) -> bool:
+    """False when no completion of mu's rows so far (with tops[p] = P_p,
+    so tops[-1] = |lam|) by up to rest more rows of at most v can give a
+    G2 factor the bound admits.  At rest = 0 it is the test on lam itself;
+    True there means only that the bound admits a weight with cohomology
+    (see the module docstring).  This is the walk's inner loop, so it
+    spells out min() as conditional expressions: the builtin call costs a
+    third of it."""
     q, width, down, up, rise, shift = bound
-    total = boxes + shift
+    total = tops[-1] + shift
     for p, top in enumerate(tops):
         rise_p = p * up if p * up < rise else rise
         least = p * (width + p)
@@ -439,20 +440,21 @@ def _g2_admits(bound, tops, boxes, rest, v) -> bool:
     return False
 
 
-def _fill_live(out, stack, boxes, tops, largest, forbidden, zero_ok, bound):
+def _fill_live(out, stack, tops, largest, forbidden, zero_ok, bound):
     """Walk the rows of mu = lam^T that follow the stack, emitting into
     out[ell] every live mu the G2 test admits (see the module docstring).
 
     Module-level like the other walks, so no call leaves a reference
-    cycle.  Rows 1..j-1 of mu are on the stack, boxes in all, with the
-    running prefix sums tops[p] = P_p, and row j comes next.  mu may end
-    here if rows j..s may all be 0 (zero_ok[j]) and the G2 test admits lam.
+    cycle.  Rows 1..j-1 of mu are on the stack, with the running prefix
+    sums tops[p] = P_p, and row j comes next; no row exceeds 2 q2, so
+    tops[-1] = P_q2 counts the boxes so far.  mu may end here if rows
+    j..s may all be 0 (zero_ok[j]) and the G2 test admits lam.
     Row j may take any v from largest down to 1 with v - j not forbidden,
     if some completion of the rows with v, by the rest = s - j rows after
     it, could be admitted."""
     j = len(stack) + 1
-    if zero_ok[j] and _g2_admits(bound, tops, boxes, 0, 0):
-        out[boxes][tuple(stack)] = None
+    if zero_ok[j] and _g2_admits(bound, tops, 0, 0):
+        out[tops[-1]][tuple(stack)] = None
     if j == len(zero_ok) - 1:
         return
     rest = len(zero_ok) - 2 - j
@@ -461,10 +463,9 @@ def _fill_live(out, stack, boxes, tops, largest, forbidden, zero_ok, bound):
             continue
         below = [top + (v if v < 2 * p else 2 * p)
                  for p, top in enumerate(tops)]
-        if _g2_admits(bound, below, boxes + v, rest, v):
+        if _g2_admits(bound, below, rest, v):
             stack.append(v)
-            _fill_live(out, stack, boxes + v, below, v, forbidden, zero_ok,
-                       bound)
+            _fill_live(out, stack, below, v, forbidden, zero_ok, bound)
             stack.pop()
 
 
@@ -488,8 +489,8 @@ def _live_pieces(data: EmbeddingData, twist1, twist2):
         zero_ok = [True] * (sub_len + 2)
         for j in range(sub_len, 0, -1):
             zero_ok[j] = zero_ok[j + 1] and -j not in forbidden
-        _fill_live(found, [], 0, [0] * (data.q2 + 1), 2 * data.q2,
-                   forbidden, zero_ok, bound)
+        _fill_live(found, [], [0] * (data.q2 + 1), 2 * data.q2, forbidden,
+                   zero_ok, bound)
     for ell, mus in enumerate(found):
         for mu in mus:
             yield ell, transpose(mu), _factor_dims(data.d1, quots,
@@ -556,9 +557,8 @@ def quot_cohomology(data: EmbeddingData,
     return QuotCohomology(chi, degenerate, dims, per_term)
 
 
-class TheoremReport(namedtuple("TheoremReport",
-                               "which sheaf expected_h0 computed verified")):
-    __slots__ = ()
+TheoremReport = namedtuple("TheoremReport",
+                           "which sheaf expected_h0 computed verified")
 
 
 def _check_theorem_c(data: EmbeddingData, ks: tuple, sides: tuple):
@@ -651,9 +651,8 @@ def verify_resolution_propositions(data: EmbeddingData,
     return PropositionReport(sheaf, tuple(rows), all(r[2] for r in rows))
 
 
-class ConjectureReport(namedtuple("ConjectureReport", "which ks deg_ls "
-                                  "predicted computed bound verified")):
-    __slots__ = ()
+ConjectureReport = namedtuple("ConjectureReport", "which ks deg_ls "
+                              "predicted computed bound verified")
 
 
 def _side_for_degree(data: EmbeddingData, deg_l: int) -> str:

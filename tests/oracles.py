@@ -15,11 +15,15 @@ scan runs that step on every piece to decide which are live, where the
 walk decides by its per-row rule and never lists a dead piece.  The G2
 test of lam itself, g2_admits, is the walk's branch cut at rest = 0, fed
 the prefix sums of lam that the walk carries as running sums.
+
+bwb_oracle is Borel-Weil-Bott read off the definition in four passes: shift
+by rho, test for a repeated entry, count the inversions pair by pair and
+sort.  bott.bwb_weight does the same in one insertion pass.
 """
 
 from functools import lru_cache
 
-from quotcoh.partitions import pad
+from quotcoh.partitions import pad, weyl_dim
 from quotcoh.quot import (
     G1,
     _factor_dims,
@@ -145,6 +149,24 @@ def g1_scan(data, sheaf) -> list:
 
 def g2_admits(lam: tuple, q: int, width: int, functor: str, ks: tuple) -> bool:
     """The G2 test on lam itself: the walk's cut with no rows to come, fed
-    lam's size and prefix sums P_p = lam_1 + ... + lam_{2p}, p = 0..q."""
+    lam's prefix sums P_p = lam_1 + ... + lam_{2p}, p = 0..q; lam has at
+    most 2q rows, so P_q is its size."""
     tops = [sum(lam[:2 * p]) for p in range(q + 1)]
-    return _g2_admits(_g2_bound(q, width, functor, ks), tops, sum(lam), 0, 0)
+    return _g2_admits(_g2_bound(q, width, functor, ks), tops, 0, 0)
+
+
+def bwb_oracle(d: int, weight: tuple) -> tuple | None:
+    """Borel-Weil-Bott on a weight of length d: None when the shifted
+    weight repeats an entry, else (degree, gl_weight, dimension)."""
+    shifted = [weight[i] + d - 1 - i for i in range(d)]
+    if len(set(shifted)) < d:
+        return None
+    degree = sum(
+        1
+        for i in range(d)
+        for j in range(i + 1, d)
+        if shifted[i] < shifted[j]
+    )
+    shifted.sort(reverse=True)
+    gl = tuple(shifted[i] - (d - 1 - i) for i in range(d))
+    return degree, gl, weyl_dim(gl, d)

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quotcoh.bott import (
     GrassmannianContext,
     HomogeneousBundle,
     bwb,
+    bwb_weight,
     cohomology_dims,
     euler_char,
     line_bundle_p1,
@@ -21,6 +23,7 @@ from quotcoh.partitions import (
     pad,
     weyl_dim,
 )
+from oracles import bwb_oracle
 
 
 def structure_sheaf(ctx: GrassmannianContext) -> HomogeneousBundle:
@@ -121,6 +124,38 @@ def test_degree_bounded_by_dimension():
             assert res.dimension == weyl_dim(res.gl_weight, d) > 0
             assert cohomology_dims(b) == {res.degree: res.dimension}
     assert live > 100
+
+
+@given(st.lists(st.integers(-6, 6), max_size=12), st.data())
+def test_bwb_weight_matches_the_oracle(entries, data):
+    # any weight, negative and repeated entries included, and the two
+    # dominant blocks, quotient then sub, that every caller passes
+    n = data.draw(st.integers(0, len(entries)))
+    blocks = (tuple(sorted(entries[:n], reverse=True))
+              + tuple(sorted(entries[n:], reverse=True)))
+    for w in (tuple(entries), blocks):
+        assert bwb_weight.__wrapped__(len(w), w) == bwb_oracle(len(w), w)
+
+
+def test_bwb_weight_on_long_weights():
+    # long weights as large twists give them: a short block and a long one
+    # whose sorted weight is one long run, built from distinct shifted
+    # entries, so each has cohomology until one shifted entry is repeated
+    rng = random.Random(5)
+    for d in (50, 200, 1000):
+        for _ in range(5):
+            shifted = list(range(d - 3)) + rng.sample(range(d - 3, d + 9), 3)
+            rng.shuffle(shifted)
+            n = rng.choice((rng.randint(0, 3), d - rng.randint(0, 3)))
+            blocks = (sorted(shifted[:n], reverse=True)
+                      + sorted(shifted[n:], reverse=True))
+            w = tuple(s - (d - 1 - i) for i, s in enumerate(blocks))
+            res = bwb_weight.__wrapped__(d, w)
+            assert res is not None and res == bwb_oracle(d, w)
+            i, j = rng.sample(range(d), 2)
+            repeated = w[:j] + (w[i] + j - i,) + w[j + 1:]
+            assert bwb_weight.__wrapped__(d, repeated) is None
+            assert bwb_oracle(d, repeated) is None
 
 
 def test_sub_condition_examples():

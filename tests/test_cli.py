@@ -93,6 +93,15 @@ def test_chi(capsys):
     assert doc["chi"] == "4"
 
 
+def test_chi_of_a_large_twist(capsys):
+    # Borel-Weil-Bott and the Weyl formula on weights of about 6,000
+    # entries; the Euler characteristic is 2m + 2
+    code, doc = run_json(capsys, "chi", "--N", "2", "--n", "1", "--r", "0",
+                         "--m", "3000", "--functor", "wedge", "--k", "1")
+    assert code == 0
+    assert doc["chi"] == "6002"
+
+
 def test_cohomology(capsys):
     code, doc = run_json(capsys, "cohomology", "--N", "2", "--n", "2",
                          "--r", "0", "--m", "2", "--functor", "wedge",
