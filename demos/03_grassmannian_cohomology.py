@@ -13,7 +13,16 @@ from quotcoh import (
     vanishes_quot_dual_condition,
     vanishes_sub_condition,
 )
-from quotcoh.bott import line_bundle_p1, quot_dual_bundle, sub_bundle
+from quotcoh.partitions import negate_reverse, pad
+
+
+def line_bundle_p1(t: int) -> HomogeneousBundle:
+    """O(t) on the projective line presented as G(2, 1)."""
+    ctx = GrassmannianContext(2, 1)
+    if t >= 0:
+        return HomogeneousBundle(ctx, (t,), (0,))
+    return HomogeneousBundle(ctx, (0,), (-t,))
+
 
 print("Line bundles on the projective line, presented as G(2, 1):")
 for t in range(-3, 4):
@@ -35,11 +44,14 @@ print(f"  S_(3,1)(A) on G(4,2): degree {res.degree}, weight {res.gl_weight}, "
 print("\nClosed-form vanishing windows, checked against the algorithm:")
 for mu in ((1, 0), (2, 2), (5, 1), (3, 0)):
     j = vanishes_sub_condition(mu, 2)
-    actual = bwb(sub_bundle(ctx, mu)).vanishes
+    actual = bwb(HomogeneousBundle(ctx, (0, 0), mu)).vanishes
     print(f"  sub side mu={mu}: witness j = {j}, vanishes = {actual}")
+# S_nu(B dual) is S_(-nu_2, -nu_1)(B), with the sub side trivial
 for nu in ((1,), (3, 1), (4,)):
     j = vanishes_quot_dual_condition(nu, 5, 2)
-    actual = bwb(quot_dual_bundle(GrassmannianContext(5, 2), nu)).vanishes
+    dual = negate_reverse(pad(nu, 2))
+    actual = bwb(HomogeneousBundle(GrassmannianContext(5, 2), dual,
+                                   (0, 0, 0))).vanishes
     print(f"  dual quotient nu={nu} on G(5,2): witness j = {j}, "
           f"vanishes = {actual}")
 

@@ -28,8 +28,6 @@ from .partitions import (
     CACHE_ENTRIES,
     as_partition,
     as_weight,
-    negate_reverse,
-    pad,
     part,
     weyl_dim,
 )
@@ -83,19 +81,6 @@ class BWBResult(namedtuple("BWBResult", "vanishes degree gl_weight dimension",
     the given dimension."""
 
     __slots__ = ()
-
-
-def quot_dual_bundle(ctx: GrassmannianContext, nu) -> HomogeneousBundle:
-    """The bundle S_nu(B dual) as a HomogeneousBundle."""
-    nu = as_weight(nu)
-    return HomogeneousBundle(ctx, negate_reverse(pad(nu, ctx.n)),
-                             (0,) * ctx.sub_rank)
-
-
-def sub_bundle(ctx: GrassmannianContext, mu) -> HomogeneousBundle:
-    """The bundle S_mu(A) as a HomogeneousBundle."""
-    mu = as_weight(mu)
-    return HomogeneousBundle(ctx, (0,) * ctx.n, pad(mu, ctx.sub_rank))
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
@@ -180,12 +165,4 @@ def vanishes_plus_condition(mu, n: int, k: int) -> int | None:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     return _window_row(as_partition(mu), n, k)
-
-
-def line_bundle_p1(t: int) -> HomogeneousBundle:
-    """O(t) on the projective line presented as G(2, 1)."""
-    ctx = GrassmannianContext(2, 1)
-    if t >= 0:
-        return HomogeneousBundle(ctx, (t,), (0,))
-    return HomogeneousBundle(ctx, (0,), (-t,))
 

@@ -449,13 +449,15 @@ _VERIFY_TARGETS = {
 
 
 def _verify_flags(p, target=None):
-    """The verify targets: only target when it names one, else all."""
+    """The verify targets: only target when it names one, and then its
+    parser is returned, else all."""
     targets = p.add_subparsers(dest="target", required=True)
     for name, (help_, add_flags, func) in _VERIFY_TARGETS.items():
         if target in (None, name):
             t = targets.add_parser(name, help=help_)
             add_flags(t)
             t.set_defaults(func=func)
+    return t
 
 
 def _conjecture_flags(p):
@@ -497,10 +499,12 @@ _COMMANDS = {
 def build_parser(command=None, target=None) -> _Parser:
     """The parser of one command, built once per process: argparse's
     objects form reference cycles, and every flag default is immutable, so
-    one parser serves every call of run.  run passes the command its argv
-    names, and that parser knows no other; None builds every command, for
-    help ahead of the command and for the errors that list the choices.
-    The same holds one level down for verify's target."""
+    one parser serves every call of run.  That parser knows no other
+    command, and its attribute `own` is the command's subparser, or the
+    target's when verify's target is named too: run hands that subparser
+    the argv past the names, in the one pass that parse_args would make
+    through it.  None builds every command, for help ahead of the command
+    and for the errors that list the choices."""
     parser = _Parser(prog="quotcoh", description=__doc__)
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -511,35 +515,57 @@ def build_parser(command=None, target=None) -> _Parser:
             if target is None:
                 add_flags(p)
             else:
-                add_flags(p, target)
+                p = add_flags(p, target)
+    if command is not None:
+        parser.own = p
     return parser
 
 
+# An argv that opens with a command (and verify's target) is parsed once,
+# by that command's parser.  Any other argv is first read by this parser:
 # argparse sets aside an unknown flag ahead of the command but reads its
-# value as the command; this parser sets the command aside and names it,
-# and run builds the parser of the command it names.
+# value as the command, while this parser sets the command aside and
+# names it.  Built at import, as the module's first parser, it keeps
+# argparse's first-use import of locale out of every call.
 _GLOBAL_FLAGS = _Parser(add_help=False)
 _GLOBAL_FLAGS.add_argument("-h", "--help", action="store_true")
 _GLOBAL_FLAGS.add_argument("--format")
 _GLOBAL_FLAGS.add_argument("rest", nargs=argparse.REMAINDER)
 
 
+def _parse(argv):
+    """The namespace of argv, or SystemExit from its parser."""
+    command = argv[0] if argv else None
+    target = argv[1] if command == "verify" and len(argv) > 1 else None
+    if command in _COMMANDS and (command != "verify"
+                                 or target in _VERIFY_TARGETS):
+        parser = build_parser(command, target)
+        # the names the full parser sets before it hands on the rest
+        ns = argparse.Namespace(format=parser.get_default("format"),
+                                command=command)
+        if target is not None:
+            ns.target = target
+        rest = argv[1:] if target is None else argv[2:]
+        return parser.own.parse_args(rest, ns)
+    ns, unknown = _GLOBAL_FLAGS.parse_known_args(argv)
+    # a help flag ahead of the command, no command or an unknown one is
+    # answered by the parser of every command
+    command = ns.rest[0] if ns.rest and not ns.help else None
+    if command not in _COMMANDS:
+        command = None
+    # and verify's parser builds the target that follows it, if any
+    target = (ns.rest + [None])[1] if command == "verify" else None
+    if target not in _VERIFY_TARGETS:
+        target = None
+    parser = build_parser(command, target)
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    return parser.parse_args(argv)
+
+
 def run(argv) -> int:
     try:
-        ns, unknown = _GLOBAL_FLAGS.parse_known_args(argv)
-        # a help flag ahead of the command, no command or an unknown one
-        # is answered by the parser of every command
-        command = ns.rest[0] if ns.rest and not ns.help else None
-        if command not in _COMMANDS:
-            command = None
-        # and verify's parser builds the target that follows it, if any
-        target = (ns.rest + [None])[1] if command == "verify" else None
-        if target not in _VERIFY_TARGETS:
-            target = None
-        parser = build_parser(command, target)
-        if unknown:
-            parser.error(f"unrecognized arguments: {' '.join(unknown)}")
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code or 0
     try:

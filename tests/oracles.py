@@ -19,11 +19,16 @@ the prefix sums of lam that the walk carries as running sums.
 bwb_oracle is Borel-Weil-Bott read off the definition in four passes: shift
 by rho, test for a repeated entry, count the inversions pair by pair and
 sort.  bott.bwb_weight does the same in one insertion pass.
+
+quot_dual_bundle, sub_bundle and line_bundle_p1 build the bundles that the
+closed-form vanishing windows and the P^1 checks are stated for; the engine
+itself hands Borel-Weil-Bott bare weights.
 """
 
 from functools import lru_cache
 
-from quotcoh.partitions import pad, weyl_dim
+from quotcoh.bott import GrassmannianContext, HomogeneousBundle
+from quotcoh.partitions import as_weight, negate_reverse, pad, weyl_dim
 from quotcoh.quot import (
     G1,
     _factor_dims,
@@ -170,3 +175,24 @@ def bwb_oracle(d: int, weight: tuple) -> tuple | None:
     shifted.sort(reverse=True)
     gl = tuple(shifted[i] - (d - 1 - i) for i in range(d))
     return degree, gl, weyl_dim(gl, d)
+
+
+def quot_dual_bundle(ctx: GrassmannianContext, nu) -> HomogeneousBundle:
+    """The bundle S_nu(B dual) as a HomogeneousBundle."""
+    nu = as_weight(nu)
+    return HomogeneousBundle(ctx, negate_reverse(pad(nu, ctx.n)),
+                             (0,) * ctx.sub_rank)
+
+
+def sub_bundle(ctx: GrassmannianContext, mu) -> HomogeneousBundle:
+    """The bundle S_mu(A) as a HomogeneousBundle."""
+    mu = as_weight(mu)
+    return HomogeneousBundle(ctx, (0,) * ctx.n, pad(mu, ctx.sub_rank))
+
+
+def line_bundle_p1(t: int) -> HomogeneousBundle:
+    """O(t) on the projective line presented as G(2, 1)."""
+    ctx = GrassmannianContext(2, 1)
+    if t >= 0:
+        return HomogeneousBundle(ctx, (t,), (0,))
+    return HomogeneousBundle(ctx, (0,), (-t,))

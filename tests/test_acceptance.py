@@ -20,9 +20,9 @@ from quotcoh.quot import (
     wedge_power,
 )
 from quotcoh.series import compare
-from quotcoh.bott import cohomology_dims, line_bundle_p1
+from quotcoh.bott import cohomology_dims
 from quotcoh.schur import lr_coefficient, lr_expand_tensor
-from oracles import schur_product
+from oracles import line_bundle_p1, schur_product
 
 
 def _report(name, detail):

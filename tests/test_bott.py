@@ -10,9 +10,6 @@ from quotcoh.bott import (
     bwb_weight,
     cohomology_dims,
     euler_char,
-    line_bundle_p1,
-    quot_dual_bundle,
-    sub_bundle,
     vanishes_plus_condition,
     vanishes_quot_dual_condition,
     vanishes_sub_condition,
@@ -23,7 +20,12 @@ from quotcoh.partitions import (
     pad,
     weyl_dim,
 )
-from oracles import bwb_oracle
+from oracles import (
+    bwb_oracle,
+    line_bundle_p1,
+    quot_dual_bundle,
+    sub_bundle,
+)
 
 
 def structure_sheaf(ctx: GrassmannianContext) -> HomogeneousBundle:

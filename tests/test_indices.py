@@ -4,7 +4,7 @@ import json
 import pytest
 
 from quotcoh import cli, partitions
-from quotcoh.bott import GrassmannianContext, bwb, quot_dual_bundle
+from quotcoh.bott import GrassmannianContext, bwb
 from quotcoh.indices import (
     SummandCheck,
     _certify,
@@ -23,6 +23,7 @@ from quotcoh.partitions import (
     transpose,
 )
 from quotcoh.schur import double_bundle_expand, pieri_twist
+from oracles import quot_dual_bundle
 
 
 def test_n_index_examples():
