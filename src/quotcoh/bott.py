@@ -85,22 +85,27 @@ class BWBResult(namedtuple("BWBResult", "vanishes degree gl_weight dimension",
 
 @lru_cache(maxsize=CACHE_ENTRIES)
 def bwb_weight(d: int, weight: tuple) -> tuple | None:
-    """Borel-Weil-Bott on a concatenated weight quot + sub of length d.
+    """Borel-Weil-Bott on a concatenated weight quot + sub of length d; a
+    shorter weight stands for itself followed by zeros up to length d.
 
     Returns None when every group vanishes, else (degree, gl_weight,
     dimension).  The weight is taken as valid: callers check it once, as
     HomogeneousBundle does.  Each shifted entry, from the last, is bisected
     into the sorted entries after it: an equal one is a repeat, the ones
     above it are its inversions, and the full list less rho is gl_weight.
+    Trailing zeros shift to 0, 1, 2, ..., already sorted and distinct with
+    no inversions among them, so the omitted ones start the list as is.
     """
-    after = []
+    start = d - len(weight)
+    after = list(range(start))
     degree = 0
-    for k, w in enumerate(reversed(weight)):
+    # after holds the k shifted entries past the one at hand
+    for k, w in enumerate(reversed(weight), start):
         shifted = w + k
         pos = bisect_left(after, shifted)
-        if pos < len(after) and after[pos] == shifted:
+        if pos < k and after[pos] == shifted:
             return None
-        degree += len(after) - pos
+        degree += k - pos
         after.insert(pos, shifted)
     gl = tuple(s - k for k, s in enumerate(after))[::-1]
     return degree, gl, weyl_dim(gl, d)

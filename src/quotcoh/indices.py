@@ -13,19 +13,21 @@ and return full records rather than booleans, so failures stay diagnosable.
 
 Inputs are checked once, at the public boundary.  n_index, kn_index and the
 verify_* functions normalize lam and check their arguments; after that the
-index is read from lam's columns by the one column loop, and _certify runs
-on trusted values: it reads schur's cached doubled expansion as stored and
-twists it through schur's unchecked Pieri chain.  Borel-Weil-Bott still
-runs on every summand, and the expansion's dimension identity on every
-fill.  indexed_partitions lists the grids' inputs from one walk of the
-box, by increasing size.
+index is read off lam's rows by _row_index, which needs neither the
+transpose nor a pass over the columns, and _certify runs on trusted values:
+it reads schur's cached doubled expansion as stored and twists it through
+schur's unchecked Pieri chain.  Borel-Weil-Bott still runs on every
+summand, and the expansion's dimension identity on every fill.
+indexed_partitions lists the grids' inputs from one walk of the box, by
+increasing size, and builds a report only for the partitions with an
+index.
 """
 
 from collections import namedtuple
 from operator import neg
 
 from .bott import bwb_weight
-from .partitions import as_partition, box_by_size, part, transpose
+from .partitions import as_partition, box_by_size, part
 from .schur import _double_bundle_cached, _pieri_chain, double_bundle_triples
 
 SHAPE_PLAIN = "plain"
@@ -37,16 +39,31 @@ IndexReport = namedtuple("IndexReport", "defined index shape",
                          defaults=(None, None))
 
 
-def _column_index(cols: tuple, n: int, k: int) -> int | None:
-    """Largest j with h_j >= n + j, or None when there is none or another
-    column has j - 1 <= h_j < n + j, h_j != j + k - 1 (k = 0: h_j >= j)."""
-    best = None
-    for j, h in enumerate(cols, start=1):
-        if h >= n + j:
-            best = j
-        elif h >= j - 1 and h != j + k - 1:
-            return None
-    return best
+def _row_index(lam: tuple, n: int, k: int) -> tuple | None:
+    """lam's index read off its rows, as (i, middle), or None.
+
+    In columns, i is the largest j with h_j >= n + j, and every other
+    column needs h_j < j - 1 or h_j = j + k - 1 (k = 0: h_j <= j - 1).
+    Column j is long exactly when row n + j has at least j boxes, so the
+    long columns are the first i.  The columns fall as the bounds rise, so
+    only column i + 1 can hold i + k boxes (middle), and then column i + 2
+    must hold at most i; otherwise h_{i+1} < i.  In rows, with lam_j = 0
+    past the last: h_{i+1} < i is lam_i = i, since lam_i >= lam_{n+i} >= i;
+    h_{i+1} = i + k is lam_{i+k} > i >= lam_{i+k+1}; and h_{i+2} <= i is
+    lam_{i+1} <= i + 1."""
+    rows = len(lam)
+    i = 0
+    while n + i < rows and lam[n + i] > i:
+        i += 1
+    if not i:
+        return None
+    if lam[i - 1] == i:
+        return i, False
+    # row i + k lies within lam, as row n + i does and k <= n
+    if lam[i + k - 1] > i >= part(lam, i + k + 1) \
+            and part(lam, i + 1) <= i + 1:
+        return i, True
+    return None
 
 
 def _check_index_args(lam: tuple, n: int, k: int | None):
@@ -63,16 +80,15 @@ def _check_index_args(lam: tuple, n: int, k: int | None):
         raise ValueError(f"the index of {lam} is undefined by fiat")
 
 
-def _report(cols: tuple, n: int, k: int | None) -> IndexReport:
-    # The index of the partition with columns cols: plain when k is None,
+def _report(found: tuple | None, k: int | None) -> IndexReport:
+    # The report on _row_index's answer: the plain index when k is None,
     # else the k-variant with its shape.
-    best = _column_index(cols, n, k or 0)
-    if best is None:
+    if found is None:
         return IndexReport(False)
+    i, middle = found
     if k is None:
-        return IndexReport(True, best, SHAPE_PLAIN)
-    shape = SHAPE_B if part(cols, best + 1) == k + best else SHAPE_A
-    return IndexReport(True, best, shape)
+        return IndexReport(True, i, SHAPE_PLAIN)
+    return IndexReport(True, i, SHAPE_B if middle else SHAPE_A)
 
 
 def n_index(lam, n: int) -> IndexReport:
@@ -80,7 +96,7 @@ def n_index(lam, n: int) -> IndexReport:
     column has either < j or >= n + j boxes."""
     lam = as_partition(lam)
     _check_index_args(lam, n, None)
-    return _report(transpose(lam), n, None)
+    return _report(_row_index(lam, n, 0), None)
 
 
 def kn_index(lam, k: int, n: int) -> IndexReport:
@@ -91,7 +107,7 @@ def kn_index(lam, k: int, n: int) -> IndexReport:
     """
     lam = as_partition(lam)
     _check_index_args(lam, n, k)
-    return _report(transpose(lam), n, k)
+    return _report(_row_index(lam, n, k), k)
 
 
 class SummandCheck(namedtuple("SummandCheck",
@@ -116,26 +132,33 @@ def _certify(d, n, lam, index, kind, functor, ks) -> VanishingRecord:
     checked and normalized every argument, so the cached expansion is read
     as it is stored and twisted by the unchecked Pieri chain.  Each delta
     comes out of a Pieri rule, padded to n entries, so neither it nor its
-    bundle weight is checked again.  The index is at most n, since a
-    column of the (2n)-row box has at most 2n boxes.
+    bundle weight is checked again; Borel-Weil-Bott reads that weight
+    without its sub block, which is zero.  The index is at most n, since a
+    column of the (2n)-row box has at most 2n boxes.  One loop builds each
+    summand's record and the verdict with it; the records are built
+    through tuple.__new__, since every field is trusted.
     """
     deltas = _pieri_chain(_double_bundle_cached(lam, n), n, functor, ks)
-    zeros = (0,) * (d - n)
-    hi = d - n + index - 1
-    checks = tuple(
-        SummandCheck(delta, mult, index <= delta[index - 1] <= hi,
-                     bwb_weight(d, tuple(map(neg, delta[::-1])) + zeros)
-                     is None)
-        for delta, mult in sorted(deltas.items(), reverse=True))
-    return VanishingRecord(d, n, lam, index, kind, tuple(ks), checks,
-                           all(c.ok for c in checks))
+    row, hi = index - 1, d - n + index - 1
+    new = tuple.__new__
+    checks = []
+    ok = True
+    for delta in sorted(deltas, reverse=True):
+        in_window = index <= delta[row] <= hi
+        vanishes = bwb_weight(d, tuple(map(neg, reversed(delta)))) is None
+        checks.append(new(SummandCheck,
+                          (delta, deltas[delta], in_window, vanishes)))
+        if not (in_window and vanishes):
+            ok = False
+    return new(VanishingRecord,
+               (d, n, lam, index, kind, ks, tuple(checks), ok))
 
 
 def _indexed(d: int, n: int, r: int, lam, mode: str | None = None,
              k: int | None = None) -> tuple:
     """The prologue every certificate shares, and the one place it checks
     lam: lam normalized once, fitting the (2n) x (d-n-r-1) box, with its
-    index (the k-variant in plus mode) read from its columns."""
+    index (the k-variant in plus mode) read off its rows."""
     lam = as_partition(lam)
     rows, cols = 2 * n, d - n - r - 1
     if len(lam) > rows or (lam and lam[0] > cols):
@@ -143,11 +166,11 @@ def _indexed(d: int, n: int, r: int, lam, mode: str | None = None,
     if mode != "plus":
         k = None
     _check_index_args(lam, n, k)
-    index = _column_index(transpose(lam), n, k or 0)
-    if index is None:
+    found = _row_index(lam, n, k or 0)
+    if found is None:
         where = "" if mode is None else f" in mode {mode}"
         raise ValueError(f"{lam} has no index for n={n}{where}")
-    return lam, index
+    return lam, found[0]
 
 
 def verify_wedge_vanishing(d: int, n: int, lam, k: int) -> VanishingRecord:
@@ -188,14 +211,17 @@ def verify_dual_vanishing(d: int, n: int, r: int, lam, ks,
     index and only r - 1 degrees are chained; the remaining wedge factor
     lives on the other Grassmannian and enters through the index of lam.
     """
-    ks = tuple(int(x) for x in ks)
+    ks = tuple(map(int, ks))
     if any(x < 0 for x in ks):
         raise ValueError("dual wedge degrees must be nonnegative")
     if mode not in ("plain", "plus"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "plus" and k is None:
         raise ValueError("plus mode needs the wedge parameter k")
-    chained = r - (mode == "plus")
+    floor = int(mode == "plus")
+    if r < floor:
+        raise ValueError(f"{mode} mode needs r >= {floor}")
+    chained = r - floor
     if len(ks) != chained:
         raise ValueError(
             f"{mode} mode expects {chained} degrees, got {len(ks)}")
@@ -225,9 +251,9 @@ def indexed_partitions(d: int, n: int, r: int = 0,
     out = []
     for lam in lams:
         if lam != skip:
-            rep = _report(transpose(lam), n, k)
-            if rep.defined:
-                out.append((lam, rep))
+            found = _row_index(lam, n, k or 0)
+            if found is not None:
+                out.append((lam, _report(found, k)))
     return out
 
 

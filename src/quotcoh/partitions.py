@@ -9,6 +9,7 @@ kept.
 """
 
 import math
+from operator import ge
 
 # The bound shared by the engine's six caches.  The largest fill measured
 # is 3,287 entries, so no measured run evicts.
@@ -26,7 +27,7 @@ def as_partition(parts) -> tuple:
     """Validate and normalize a partition: weakly decreasing, nonnegative,
     trailing zeros stripped."""
     t = tuple(map(int, parts))
-    if tuple(sorted(t, reverse=True)) != t:
+    if not all(map(ge, t, t[1:])):
         raise ValueError(f"not weakly decreasing: {t}")
     if t and t[-1] < 0:
         raise ValueError(f"negative part in partition: {t}")
@@ -38,7 +39,7 @@ def as_partition(parts) -> tuple:
 def as_weight(entries) -> tuple:
     """Validate a dominant weight: weakly decreasing integers, length kept."""
     t = tuple(map(int, entries))
-    if tuple(sorted(t, reverse=True)) != t:
+    if not all(map(ge, t, t[1:])):
         raise ValueError(f"not weakly decreasing: {t}")
     return t
 

@@ -133,7 +133,12 @@ from .bott import (
     cohomology_dims,
 )
 from .partitions import CACHE_ENTRIES, binom, negate_reverse, pad, transpose
-from .schur import _double_bundle_cached, _pieri_chain, cauchy_wedge
+from .schur import (
+    _double_bundle_cached,
+    _pieri_chain,
+    _plain_twist,
+    cauchy_wedge,
+)
 
 G1 = "G1"
 G2 = "G2"
@@ -295,31 +300,27 @@ def _validate_sheaf(data: EmbeddingData, sheaf: TautologicalSheaf):
             raise ValueError("symmetric power of a rank-0 bundle")
 
 
-# The twist of a side with no factors: a Pieri chain with no degrees leaves
-# every weight as it is, whatever the functor.
-_IDENTITY = ("wedge", ())
-
-
 def _twist(sheaf: TautologicalSheaf, side: str) -> tuple:
     """The sheaf's twist on one side, as (functor, ks): the degrees of the
     factors whose twist is realized there, in descending order, since the
     factors of a tensor product commute.  A degree-0 factor is the trivial
     bundle, so it is left out, and a side left with none gets the identity.
-    S^1 B = wedge^1 B = B, so sym^1 reads as wedge^1."""
-    ks = tuple(sorted((k for k, s in zip(sheaf.ks, sheaf.sides)
-                       if s == side and k), reverse=True))
-    if ks == (1,) and sheaf.functor == "sym":
-        return "wedge", ks
-    return (sheaf.functor, ks) if ks else _IDENTITY
+    S^1 B = wedge^1 B = B, so sym^1 reads as wedge^1.  Both rules are
+    schur._plain_twist's, which _pieri_chain applies too; the twist needs
+    them here as well, since it keys _fill_profiles and feeds the G2
+    bound, which counts only the factors of positive degree."""
+    return _plain_twist(sheaf.functor, tuple(sorted(
+        (k for k, s in zip(sheaf.ks, sheaf.sides) if s == side),
+        reverse=True)))
 
 
 def _quotient_weights(dual, q: int, functor: str, ks: tuple) -> dict:
-    """The (weight, multiplicity) pairs dual, in dual coordinates, of a
-    rank-q quotient twisted by (functor, ks), as {quotient weight:
-    multiplicity} in ordinary coordinates.  On G1 dual is ((), 1) alone, so
-    the twist is the whole weight; on G2 it is lam's stored doubled
-    expansion.  The engine built both and checked the functor, so they go
-    through schur's unchecked Pieri chain."""
+    """The (weight, multiplicity) pairs dual, in dual coordinates and of
+    q entries each, of a rank-q quotient twisted by (functor, ks), as
+    {quotient weight: multiplicity} in ordinary coordinates.  On G1 dual is
+    the zero weight alone, so the twist is the whole weight; on G2 it is
+    lam's stored doubled expansion.  The engine built both and checked the
+    functor, so they go through schur's unchecked Pieri chain."""
     twisted = _pieri_chain(dual, q, functor, ks)
     return {negate_reverse(w): m for w, m in twisted.items()}
 
@@ -342,7 +343,8 @@ def resolution_terms(data: EmbeddingData, sheaf: TautologicalSheaf,
     _validate_sheaf(data, sheaf)
     ctx1, ctx2 = data.ctx1, data.ctx2
     sub_len = data.d1 - data.q1
-    g1_quots = _quotient_weights([((), 1)], data.q1, *_twist(sheaf, G1))
+    g1_quots = _quotient_weights([((0,) * data.q1, 1)], data.q1,
+                                 *_twist(sheaf, G1))
     twist2 = _twist(sheaf, G2)
     zeros2 = (0,) * (data.d2 - data.q2)
     acc: dict = {}
@@ -480,7 +482,7 @@ def _live_pieces(data: EmbeddingData, twist1, twist2):
     a mu found under several weights is kept once.  Only these mu are
     transposed and run through Borel-Weil-Bott."""
     q1, sub_len = data.q1, data.d1 - data.q1
-    quots = _quotient_weights([((), 1)], q1, *twist1).items()
+    quots = _quotient_weights([((0,) * q1, 1)], q1, *twist1).items()
     bound = _g2_bound(data.q2, data.d2 - data.q2, *twist2)
     found = [{} for _ in range(data.rank_e + 1)]
     for w, _ in quots:

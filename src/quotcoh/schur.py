@@ -13,7 +13,9 @@ start + content), which gives:
 
 * the direct-sum step, lam/alpha from an empty start (a lattice reading
   word) over every alpha in one walk per lam: the content is beta, with
-  c^lam_{alpha,beta} fillings;
+  c^lam_{alpha,beta} fillings.  Since c^lam_{alpha,beta} =
+  c^lam_{beta,alpha}, the doubled expansion stops each path at |lam| / 2
+  labels and counts a pair with |beta| < |alpha| for its mirror too;
 * the tensor step, the shape beta from the start alpha (inner fixed
   empty): the final shape is gamma, with c^gamma_{alpha,beta} fillings.
   Since c^gamma_{alpha,beta} = c^gamma_{beta,alpha}, each unordered pair
@@ -32,17 +34,19 @@ expansions are filled in its set-up):
     cache      grid       series    sweep
     profiles     0 / 0    32 / 40   44 / 60
     doubled    466 / 82   25 / 3    22 / 0
-    tensor     411 / 202   2 / 1     0 / 0
-    wedge      529 / 335   9 / 3    25 / 10
-    sym        259 / 416   3 / 1     5 / 3
+    tensor     158 / 202   2 / 1     0 / 0
+    wedge      464 / 244   9 / 3    25 / 10
+    sym        185 / 292   3 / 1     5 / 3
 
 The grid's certificates (indices._certify) twist each lam several ways,
 and their lam share (alpha, beta) pairs and weights; quot expands only the
 few G2 factors its bound lets through, each under several twists and
 ranks.  Both read _double_bundle_cached's tuple as stored, their lam being
-normalized already.  With bott.bwb_weight, six caches share the bound
-partitions.CACHE_ENTRIES.  The largest fill measured is 3,287 tensor
-entries, by "cohomology --N 3 --n 3 --r 1 --m 4 --functor dual --ks 3,1
+normalized already: its pieces are weights of n entries, the form the
+Pieri chain takes, and double_bundle_expand strips their zeros.  With
+bott.bwb_weight, six caches share the bound partitions.CACHE_ENTRIES.
+The largest fill measured is 3,287 tensor entries, by
+"cohomology --N 3 --n 3 --r 1 --m 4 --functor dual --ks 3,1
 --sides G2,G2", so no measured run evicts.  The Cauchy pairs are not
 cached: quot's hot path never lists them, so cauchy_wedge serves only
 resolution_terms and the cauchy command, and checks the Cauchy identity on
@@ -66,12 +70,17 @@ negative entries nonnegative.
 
 The public functions check their input, then call the unchecked cached
 rules; pieri_twist calls _pieri_chain, which indices and quot call
-directly on weights the engine built.
+directly on weights the engine built.  _plain_twist holds the two rules
+they share: a degree-0 factor is the trivial bundle, so it is dropped,
+and S^1 B = wedge^1 B, so at positive rank a lone sym^1 reads wedge^1's
+entries.  _pieri_chain reads every twist through it, and so does quot's
+profile key.  On the grid these rules save 215 of 751 Pieri fills (153
+identity steps and 62 sym^1 duplicates).
 """
 
 from functools import lru_cache
 from itertools import combinations
-from operator import le
+from operator import ge, le
 
 from .partitions import (
     CACHE_ENTRIES,
@@ -103,52 +112,67 @@ def lr_coefficient(alpha, beta, gamma) -> int:
     return fillings.get((alpha, beta), 0)
 
 
-def _fillings(outer, low, high, start, nlab, bound=None) -> dict:
+def _fillings(outer, low, high, start, nlab, bound=None, most=None) -> dict:
     """Count the semistandard fillings of outer/inner with labels at most
     nlab whose content, added to start label by label in reading order,
     stays a partition, over the partitions inner with low <= inner <= high
     row by row.  With a bound, a filling is dropped once start + content
-    exceeds it where a row may end.  Returns {(inner, start + content):
+    exceeds it where a row may end; with most, only the fillings of at most
+    that many labels are walked.  Returns {(inner, start + content):
     count}."""
     rows = len(outer)
     out: dict = {}
     if not rows:
         out[(), tuple(start)] = 1
         return out
+    high = pad(high, rows)
+    # Every cell right of high is labelled, so `slack` counts the labels
+    # that may still go left of it, into cells the inner shape could take.
+    slack = sum(high) if most is None else most - sum(outer) + sum(high)
+    if slack < 0:
+        return out
     vals = [[0] * (outer[0] + 1) for _ in outer]
     _walk(out, 0, outer[0], (), list(pad(start, nlab)), vals, [0] * rows,
-          outer, pad(low, rows), pad(high, rows), transpose(outer), nlab,
-          None if bound is None else pad(bound, nlab))
+          outer, pad(low, rows), high, transpose(outer), nlab,
+          None if bound is None else pad(bound, nlab), slack)
     return out
 
 
 def _walk(out, r, c, ikey, shape, vals, inner, outer, low, high, cols, nlab,
-          bound):
+          bound, slack):
     # The recursive walks in this package are module-level functions that
     # take their state as arguments, so no call leaves a reference cycle.
     # Row r holds its labels from column c rightward; ikey is the inner
     # shape chosen above it.  Row r may end here, with inner_r = c, if that
     # keeps inner between low and high and a partition.  The content only
-    # grows, so a path past the bound there is dropped.
+    # grows, so a path past the bound there is dropped.  A label left of
+    # high[r] spends one of the slack labels left.  cols[0] is outer's row
+    # count.
     if c <= high[r] and (not r or c <= inner[r - 1]):
         if bound is not None and not all(map(le, shape, bound)):
             return
         inner[r] = c
         key = ikey + (c,) if c else ikey
-        if r + 1 < len(outer):
+        if r + 1 < cols[0]:
             _walk(out, r + 1, outer[r + 1], key, shape, vals, inner, outer,
-                  low, high, cols, nlab, bound)
+                  low, high, cols, nlab, bound, slack)
         else:
-            key = key, tuple(x for x in shape if x)
+            key = key, tuple(filter(None, shape))
             out[key] = out.get(key, 0) + 1
     if c <= low[r]:
         return
     c -= 1
+    if c < high[r]:
+        if not slack:
+            return
+        slack -= 1
     row = vals[r]
     # Rows weakly increase, so a label is at most its right neighbour's
     # (row[c + 1] is 0 past the end of the row); columns strictly increase,
     # and a label v needs room for the cols[c] - r - 1 cells below it.
-    hi = min(row[c + 1] or nlab, nlab - cols[c] + r + 1)
+    hi = nlab - cols[c] + r + 1
+    if 0 < row[c + 1] < hi:
+        hi = row[c + 1]
     lo = vals[r - 1][c] + 1 if r and c >= inner[r - 1] else 1
     for v in range(lo, hi + 1):
         if v > 1 and shape[v - 2] == shape[v - 1]:
@@ -156,7 +180,7 @@ def _walk(out, r, c, ikey, shape, vals, inner, outer, low, high, cols, nlab,
         shape[v - 1] += 1
         row[c] = v
         _walk(out, r, c, ikey, shape, vals, inner, outer, low, high, cols,
-              nlab, bound)
+              nlab, bound, slack)
         shape[v - 1] -= 1
     row[c] = 0
 
@@ -175,7 +199,7 @@ def _lr_expand_cached(alpha, beta, rows) -> tuple:
 def _ordered(alpha, beta) -> tuple:
     # c^gamma_{alpha,beta} = c^gamma_{beta,alpha}: one entry per unordered
     # pair, the larger shape first.
-    if (size(alpha), alpha) < (size(beta), beta):
+    if (sum(alpha), alpha) < (sum(beta), beta):
         return beta, alpha
     return alpha, beta
 
@@ -187,11 +211,11 @@ def lr_expand_tensor(alpha, beta) -> dict:
                                   len(alpha) + len(beta)))
 
 
-def _direct_sum(lam, rows) -> list:
+def _direct_sum(lam, rows, most=None) -> list:
     # One walk over every alpha of at most `rows` rows: a column of
     # lam/alpha holds distinct labels at most `rows`, so alpha_r >=
-    # lam_{r + rows}.
-    fillings = _fillings(lam, lam[rows:], lam[:rows], (), rows)
+    # lam_{r + rows}.  With most, only the triples with |beta| <= most.
+    fillings = _fillings(lam, lam[rows:], lam[:rows], (), rows, None, most)
     return [(alpha, beta, c)
             for (alpha, beta), c in sorted(fillings.items(), reverse=True)]
 
@@ -227,17 +251,32 @@ def double_bundle_triples(lam, n: int):
 def _double_bundle_cached(lam, n) -> tuple:
     if len(lam) > 2 * n:
         raise ValueError(f"{lam} has more than {2 * n} rows")
+    # double_bundle_triples summed over alpha and beta.  The pair
+    # (beta, alpha) adds what (alpha, beta) adds, since c^lam and c^gamma
+    # are both symmetric and the row bounds are too, so the walk stops at
+    # |lam| / 2 labels and a pair with |beta| < |alpha| counts twice.
     acc: dict = {}
-    for _, _, gamma, c in double_bundle_triples(lam, n):
-        acc[gamma] = acc.get(gamma, 0) + c
-    # S_lam(C^2n) splits into the rank-n pieces, dimensions included.
+    boxes = sum(lam)
+    for alpha, beta, c1 in _direct_sum(lam, min(n, len(lam)), boxes // 2):
+        if 2 * sum(beta) < boxes:
+            c1 *= 2
+            pair = alpha, beta
+        else:
+            pair = _ordered(alpha, beta)
+        rows = min(n, len(alpha) + len(beta))
+        for gamma, c2 in _lr_expand_cached(*pair, rows):
+            acc[gamma] = acc.get(gamma, 0) + c1 * c2
+    # Stored as weights of n entries, the form the Pieri chain reads; the
+    # order is the partitions' order.  S_lam(C^2n) splits into the rank-n
+    # pieces, dimensions included.
+    pieces = sorted(((pad(gamma, n), c) for gamma, c in acc.items()),
+                    reverse=True)
     want = weyl_dim(pad(lam, 2 * n), 2 * n)
-    total = sum(c * weyl_dim(pad(gamma, n), n)
-                for gamma, c in acc.items())
+    total = sum(c * weyl_dim(gamma, n) for gamma, c in pieces)
     if total != want:
         raise ArithmeticError(f"doubled expansion of {lam} over rank {n} "
                               f"has dimension {total}, not {want}")
-    return tuple(sorted(acc.items(), reverse=True))
+    return tuple(pieces)
 
 
 def double_bundle_expand(lam, n: int) -> dict:
@@ -247,7 +286,8 @@ def double_bundle_expand(lam, n: int) -> dict:
     over partitions gamma with at most n rows.  Requires lam to have at most
     2n rows.
     """
-    return dict(_double_bundle_cached(as_partition(lam), n))
+    return {gamma[:n - gamma.count(0)]: c
+            for gamma, c in _double_bundle_cached(as_partition(lam), n)}
 
 
 def cauchy_wedge(ell: int, rank_left: int, rank_right: int) -> list:
@@ -285,7 +325,7 @@ def _pieri_wedge_cached(w, k, dualized) -> tuple:
         nw = list(w)
         for i in spots:
             nw[i] += step
-        if all(a >= b for a, b in zip(nw, nw[1:])):
+        if all(map(ge, nw, nw[1:])):
             out.append(tuple(nw))
     return tuple(sorted(out, reverse=True))
 
@@ -306,28 +346,37 @@ def _pieri_sym_cached(w, k, dualized) -> tuple:
         raise ValueError("k must be nonnegative")
     if r == 0:
         return ((),) if k == 0 else ()
+    if r == 1:
+        return ((w[0] - k if dualized else w[0] + k,),)
     out = []
     _fill_interlacing(out, [], w, dualized, 0, k)
-    return tuple(sorted(out, reverse=True))
+    # Each entry tries its changes from the smallest up, so drops come out
+    # in decreasing order and gains in increasing order.
+    return tuple(out) if dualized else tuple(reversed(out))
 
 
 def _fill_interlacing(out, stack, w, dualized, j, left):
-    r = len(w)
-    if j == r - 1:
-        # The last entry takes what is left, if the interlacing allows it.
-        if dualized or not j or left <= w[j - 1] - w[j]:
-            out.append((*stack, w[j] - left if dualized else w[j] + left))
-        return
+    # Entries j, j + 1, ... after the stack, with left still to place.
+    # Gains interlace above w, nu_j >= w_j >= nu_{j+1}; drops interlace
+    # below, w_j >= nu_j >= w_{j+1}.  The last two entries are placed
+    # together: the last takes what is left.
+    x, y = w[j], w[j + 1]
     if dualized:
-        # Drops interlace below w: w_j >= nu_j >= w_{j+1}.
-        cap = min(left, w[j] - w[j + 1])
+        cap = min(left, x - y)
     else:
-        # Gains interlace above w: nu_j >= w_j >= nu_{j+1}.
-        cap = left if j == 0 else min(left, w[j - 1] - w[j])
-    for a in range(cap + 1):
-        stack.append(w[j] - a if dualized else w[j] + a)
-        _fill_interlacing(out, stack, w, dualized, j + 1, left - a)
-        stack.pop()
+        cap = left if j == 0 else min(left, w[j - 1] - x)
+    if j + 2 < len(w):
+        for a in range(cap + 1):
+            stack.append(x - a if dualized else x + a)
+            _fill_interlacing(out, stack, w, dualized, j + 1, left - a)
+            stack.pop()
+    elif dualized:
+        for a in range(cap + 1):
+            out.append((*stack, x - a, y - left + a))
+    else:
+        # the last entry gains left - a, which must not pass x
+        for a in range(max(0, left - x + y), cap + 1):
+            out.append((*stack, x + a, y + left - a))
 
 
 def pieri_sym(w, k: int, dualized: bool = False) -> dict:
@@ -352,13 +401,38 @@ def pieri_twist(weights: dict, n: int, functor: str, ks) -> dict:
     if functor not in ("wedge", "sym", "dual"):
         raise ValueError(f"unknown functor {functor!r}")
     return _pieri_chain([(as_weight(pad(w, n)), mult)
-                         for w, mult in weights.items()], n, functor, ks)
+                         for w, mult in weights.items()], n, functor,
+                        tuple(ks))
+
+
+# The twist with no factors: a Pieri chain with no degrees leaves every
+# weight as it is, whatever the functor.
+_IDENTITY = ("wedge", ())
+
+
+def _plain_twist(functor: str, ks: tuple) -> tuple:
+    """The twist by F^k for k in ks as (functor, ks) in its plain form: a
+    degree-0 factor is the trivial bundle, so it is dropped, and S^1 B =
+    wedge^1 B, so a lone sym^1 reads as wedge^1 (at positive rank).  Equal
+    twists then share the Pieri rules' cache entries and quot's profile
+    key."""
+    if 0 in ks:
+        ks = tuple(k for k in ks if k)
+    if not ks:
+        return _IDENTITY
+    if ks == (1,) and functor == "sym":
+        return "wedge", ks
+    return functor, ks
 
 
 def _pieri_chain(pairs, n, functor, ks) -> dict:
     # pieri_twist unchecked, on (weight, multiplicity) pairs the engine
-    # built: distinct dominant weights of at most n entries.
-    acc = {w + (0,) * (n - len(w)): mult for w, mult in pairs}
+    # built: distinct dominant weights of n entries.  The twist is read in
+    # its plain form, except over rank 0, where S^1 is zero and wedge^1 out
+    # of range.
+    if n:
+        functor, ks = _plain_twist(functor, ks)
+    acc = dict(pairs)
     if functor == "sym":
         rule, flag = _pieri_sym_cached, True
     else:

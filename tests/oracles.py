@@ -20,6 +20,12 @@ bwb_oracle is Borel-Weil-Bott read off the definition in four passes: shift
 by rho, test for a repeated entry, count the inversions pair by pair and
 sort.  bott.bwb_weight does the same in one insertion pass.
 
+pieri_chain_oracle twists by one public pieri_wedge or pieri_sym step per
+degree, degree 0 and sym^1 included, where schur._pieri_chain drops the
+first and reads a lone second as wedge^1.  column_index_oracle reads the index
+of a partition off its columns, as the definition states it; indices reads
+it off the rows.
+
 quot_dual_bundle, sub_bundle and line_bundle_p1 build the bundles that the
 closed-form vanishing windows and the P^1 checks are stated for; the engine
 itself hands Borel-Weil-Bott bare weights.
@@ -28,7 +34,14 @@ itself hands Borel-Weil-Bott bare weights.
 from functools import lru_cache
 
 from quotcoh.bott import GrassmannianContext, HomogeneousBundle
-from quotcoh.partitions import as_weight, negate_reverse, pad, weyl_dim
+from quotcoh.partitions import (
+    as_weight,
+    negate_reverse,
+    pad,
+    part,
+    transpose,
+    weyl_dim,
+)
 from quotcoh.quot import (
     G1,
     _factor_dims,
@@ -37,7 +50,7 @@ from quotcoh.quot import (
     _quotient_weights,
     _twist,
 )
-from quotcoh.schur import cauchy_wedge
+from quotcoh.schur import cauchy_wedge, pieri_sym, pieri_wedge
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +153,8 @@ def g1_scan(data, sheaf) -> list:
     of the Cauchy pieces whose G1 factor under the sheaf's G1 twist has
     cohomology, by scanning every piece."""
     sub_len = data.d1 - data.q1
-    quots = _quotient_weights([((), 1)], data.q1, *_twist(sheaf, G1)).items()
+    quots = _quotient_weights([((0,) * data.q1, 1)], data.q1,
+                               *_twist(sheaf, G1)).items()
     live = []
     for ell in range(data.rank_e + 1):
         pieces = []
@@ -175,6 +189,41 @@ def bwb_oracle(d: int, weight: tuple) -> tuple | None:
     shifted.sort(reverse=True)
     gl = tuple(shifted[i] - (d - 1 - i) for i in range(d))
     return degree, gl, weyl_dim(gl, d)
+
+
+def pieri_chain_oracle(weights: dict, n: int, functor: str, ks) -> dict:
+    """pieri_twist spelled out: weights padded to n entries, then one public
+    Pieri step per degree in ks.  In dual coordinates wedge^k B and S^k B
+    lower entries (the dualized rules) and wedge^k B* raises them."""
+    acc = {pad(w, n): mult for w, mult in weights.items()}
+    for k in ks:
+        step: dict = {}
+        for w, mult in acc.items():
+            if functor == "sym":
+                out = pieri_sym(w, k, dualized=True)
+            else:
+                out = pieri_wedge(w, k, dualized=functor == "wedge")
+            for v, c in out.items():
+                step[v] = step.get(v, 0) + mult * c
+        acc = step
+    return acc
+
+
+def column_index_oracle(lam: tuple, n: int, k: int) -> tuple | None:
+    """(i, middle) for lam's index from its columns h_j, or None: i is the
+    largest j with h_j >= n + j, every other column must have h_j < j - 1
+    or h_j = j + k - 1 (k = 0: h_j <= j - 1), and middle says whether
+    column i + 1 has i + k boxes."""
+    cols = transpose(lam)
+    best = None
+    for j, h in enumerate(cols, start=1):
+        if h >= n + j:
+            best = j
+        elif h >= j - 1 and h != j + k - 1:
+            return None
+    if best is None:
+        return None
+    return best, part(cols, best + 1) == best + k
 
 
 def quot_dual_bundle(ctx: GrassmannianContext, nu) -> HomogeneousBundle:

@@ -131,12 +131,16 @@ def test_degree_bounded_by_dimension():
 @given(st.lists(st.integers(-6, 6), max_size=12), st.data())
 def test_bwb_weight_matches_the_oracle(entries, data):
     # any weight, negative and repeated entries included, and the two
-    # dominant blocks, quotient then sub, that every caller passes
+    # dominant blocks, quotient then sub, that every caller passes; a
+    # weight given without its trailing zeros reads as the padded one
     n = data.draw(st.integers(0, len(entries)))
     blocks = (tuple(sorted(entries[:n], reverse=True))
               + tuple(sorted(entries[n:], reverse=True)))
+    zeros = data.draw(st.integers(0, 4))
     for w in (tuple(entries), blocks):
         assert bwb_weight.__wrapped__(len(w), w) == bwb_oracle(len(w), w)
+        d = len(w) + zeros
+        assert bwb_weight.__wrapped__(d, w) == bwb_oracle(d, w + (0,) * zeros)
 
 
 def test_bwb_weight_on_long_weights():

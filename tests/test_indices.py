@@ -22,8 +22,9 @@ from quotcoh.partitions import (
     part,
     transpose,
 )
-from quotcoh.schur import double_bundle_expand, pieri_twist
-from oracles import quot_dual_bundle
+from quotcoh.indices import _row_index
+from quotcoh.schur import double_bundle_expand
+from oracles import column_index_oracle, pieri_chain_oracle, quot_dual_bundle
 
 
 def test_n_index_examples():
@@ -88,6 +89,20 @@ def test_kn_index_row_pattern():
                         assert i <= part(lam, i + j) <= i + 1, (lam, k, n)
 
 
+def test_row_index_matches_the_column_definition():
+    # the index read off the rows equals the column definition, shape
+    # included, on every partition of an 8 x 7 box
+    defined = middles = 0
+    for lam in all_in_box(8, 7):
+        for n in range(5):
+            for k in range(n + 1):
+                want = column_index_oracle(lam, n, k)
+                assert _row_index(lam, n, k) == want, (lam, n, k)
+                defined += want is not None
+                middles += want is not None and want[1]
+    assert defined > 1000 and middles > 100
+
+
 def test_index_dichotomy():
     # middle-range columns are exactly the failure of the index
     d, n = 6, 2
@@ -136,6 +151,17 @@ def test_verify_dual_examples():
         verify_dual_vanishing(7, 2, 1, (1, 1, 1), (1, 2))  # wrong list length
     with pytest.raises(ValueError):
         verify_dual_vanishing(7, 2, 1, (1, 1, 1), (1,), "plus")  # needs k
+
+
+def test_verify_dual_rejects_a_negative_chain_length():
+    # r below the mode's floor is named as such, with the CLI's wording,
+    # not as a negative count of degrees
+    with pytest.raises(ValueError, match=r"^plain mode needs r >= 0$"):
+        verify_dual_vanishing(7, 2, -1, (1, 1, 1), ())
+    for r in (-1, 0):
+        with pytest.raises(ValueError, match=r"^plus mode needs r >= 1$"):
+            verify_dual_vanishing(7, 2, r, (1, 1, 1), (), "plus", 1)
+    assert verify_dual_vanishing(7, 2, 0, (1, 1, 1), ()).ok
 
 
 def test_certificates_reject_partitions_one_past_the_box():
@@ -222,9 +248,10 @@ def test_lemma_triples_bounds_are_measured():
 
 def _public_summands(d, n, index, functor, ks, lam):
     # The summands of a certificate built from the checked public steps:
-    # the expansion, pieri_twist and Borel-Weil-Bott on the bundle itself.
+    # the expansion, one public Pieri step per degree and Borel-Weil-Bott
+    # on the bundle itself.
     ctx = GrassmannianContext(d, n)
-    deltas = pieri_twist(double_bundle_expand(lam, n), n, functor, ks)
+    deltas = pieri_chain_oracle(double_bundle_expand(lam, n), n, functor, ks)
     hi = d - n + index - 1
     return tuple(
         SummandCheck(delta, mult, index <= part(delta, index) <= hi,

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations_with_replacement
 
 import pytest
@@ -27,7 +28,7 @@ from quotcoh.schur import (
     pieri_twist,
     pieri_wedge,
 )
-from oracles import doubled_schur, lr_oracle, schur_product
+from oracles import doubled_schur, lr_oracle, pieri_chain_oracle, schur_product
 
 
 def small_partitions(limit):
@@ -359,6 +360,41 @@ def test_pieri_twist_ranks():
         out = pieri_twist(weights, n, functor, ks)
         assert all(len(w) == n for w in out)
         assert sum(m * weyl_dim(w, n) for w, m in out.items()) == base * factor
+
+
+def test_pieri_twist_matches_one_step_per_degree():
+    # _pieri_chain drops degree-0 factors and reads a lone sym^1 as
+    # wedge^1; the oracle takes one public step per degree.  Seeded weights
+    # of up to n entries, n = 0..4, with ks that always hold a 0 and (where
+    # a degree 1 exists) a 1, must give the same weights in the same order.
+    rng = random.Random(29)
+    checked = 0
+    for n in range(5):
+        for functor in ("wedge", "sym", "dual"):
+            top = 3 if functor == "sym" else n
+            for _ in range(12):
+                weights = {}
+                for _ in range(rng.randint(1, 4)):
+                    # a weight shorter than n is padded with zeros, so its
+                    # entries are nonnegative; the padded weights are
+                    # distinct
+                    m = rng.randint(0, n)
+                    w = tuple(sorted((rng.randint(-3 if m == n else 0, 3)
+                                      for _ in range(m)), reverse=True))
+                    if all(pad(v, n) != pad(w, n) for v in weights):
+                        weights[w] = rng.randint(1, 3)
+                ks = [0, *([1] if top else []),
+                      *(rng.randint(0, top) for _ in range(rng.randint(0, 2)))]
+                rng.shuffle(ks)
+                got = pieri_twist(weights, n, functor, ks)
+                want = pieri_chain_oracle(weights, n, functor, ks)
+                assert list(got.items()) == list(want.items()), \
+                    (n, functor, weights, ks)
+                checked += bool(got)
+    assert checked > 100
+    # over rank 0 the symmetric power of degree 1 is zero, not wedge^1
+    assert pieri_twist({(): 1}, 0, "sym", (1,)) == {}
+    assert pieri_twist({(): 1}, 0, "sym", (0,)) == {(): 1}
 
 
 def test_pieri_twist_wedge_is_shifted_complement():
