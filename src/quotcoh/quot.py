@@ -22,10 +22,9 @@ the sheaf's G1 factors) and a G2 bundle F2 (the doubled expansion of
 S_lam twisted by its G2 factors), so by Kunneth H(F1 box F2) is
 H(F1) tensor H(F2): degrees add and dimensions multiply.  When F1 is
 acyclic, or the G2 test below proves F2 acyclic, the product vanishes, and
-term_profiles builds neither side of the piece.  This skips only summands
-whose contribution is zero.  resolution_terms still lists every summand of a term, and
-term_cohomology of that list is the reference the factored profiles are
-tested against.
+_fill_profiles builds neither side of the piece.  resolution_terms still
+lists every summand of a term, and term_cohomology of that list is the
+reference the factored profiles are tested against.
 
 The live pieces, those whose G1 factor has cohomology, are built without
 listing the others (_live_pieces).  On G1 = G(d1, q1), with s = d1 - q1
@@ -105,18 +104,18 @@ only pieces the test rejects.  At rest = 0 each bound is the value itself
 and the cut is the test on lam, which the walk runs wherever mu may end; so
 it emits exactly the pieces live on G1 and admitted on G2.
 
-The term profiles are cached in _fill_profiles, one bounded lru_cache
-keyed by the embedding's value and the pair of twists, each side's
-(functor, ks) over its factors of positive degree (the identity twist when
-there are none; sym^1 reads as wedge^1).  The value is {ell:
-CohomologyProfile} for the terms with cohomology, filled in one pass: the
-walk, Borel-Weil-Bott on each piece's G1 factor, the doubled expansion,
-Pieri twist and Borel-Weil-Bott of its G2 factor, and Kunneth.  A term
-missing from it is acyclic and reads as one shared empty profile, so a
-sheaf pays only for its few terms with cohomology.  The walk's output
-depends on both twists, hence the pair key.  The key is exact: a profile
-depends only on (N, splitting, n, r, m), which an EmbeddingData's equality
-compares, and on the twists; so equal embeddings built apart share entries.
+The finished QuotCohomology records are cached in _fill_profiles, one
+bounded lru_cache keyed by the embedding's value and the pair of twists,
+each side's (functor, ks) over its factors of positive degree (the
+identity twist when there are none; sym^1 reads as wedge^1), and filled in
+one pass: the walk, Borel-Weil-Bott on each piece's G1 factor, the doubled
+expansion, Pieri twist and Borel-Weil-Bott of its G2 factor, and Kunneth.
+Every record's acyclic terms are the same shared (ell, _ACYCLIC) pairs, so
+quot_cohomology is one cache read, and sheaves with equal twists get the
+identical record.  The walk's output depends on both twists, hence the
+pair key.  The key is exact: a record depends only on (N, splitting, n, r,
+m), which an EmbeddingData's equality compares, and on the twists; so
+equal embeddings built apart share entries.
 Records are namedtuples, equal to plain tuples with the same entries, but
 every key holds an EmbeddingData in its first slot and only there, with a
 (functor, ks) twist in each other slot, so tuple equality cannot mix up
@@ -125,6 +124,7 @@ two entries.
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import itemgetter
 
 from .bott import (
     GrassmannianContext,
@@ -241,15 +241,15 @@ class TautologicalSheaf(namedtuple("TautologicalSheaf", "functor ks sides")):
     def __new__(cls, functor: str, ks: tuple, sides: tuple):
         if functor not in ("wedge", "sym", "dual"):
             raise ValueError(f"unknown functor {functor!r}")
-        ks = tuple(int(k) for k in ks)
+        ks = tuple(map(int, ks))
         sides = tuple(sides)
         if len(ks) != len(sides):
             raise ValueError("each degree needs a side")
-        if any(s not in (G1, G2) for s in sides):
+        if sides.count(G1) + sides.count(G2) != len(sides):
             raise ValueError("sides must be G1 or G2")
-        if functor in ("wedge", "sym") and len(ks) != 1:
+        if functor != "dual" and len(ks) != 1:
             raise ValueError("wedge and sym take a single degree")
-        if any(k < 0 for k in ks):
+        if ks and min(ks) < 0:
             raise ValueError("degrees must be nonnegative")
         return tuple.__new__(cls, (functor, ks, sides))
 
@@ -309,9 +309,11 @@ def _twist(sheaf: TautologicalSheaf, side: str) -> tuple:
     schur._plain_twist's, which _pieri_chain applies too; the twist needs
     them here as well, since it keys _fill_profiles and feeds the G2
     bound, which counts only the factors of positive degree."""
-    return _plain_twist(sheaf.functor, tuple(sorted(
-        (k for k, s in zip(sheaf.ks, sheaf.sides) if s == side),
-        reverse=True)))
+    functor, ks, sides = sheaf
+    picked = sides.count(side)
+    if picked < len(ks):
+        ks = [k for k, s in zip(ks, sides) if s == side] if picked else ()
+    return _plain_twist(functor, tuple(sorted(ks, reverse=True)))
 
 
 def _quotient_weights(dual, q: int, functor: str, ks: tuple) -> dict:
@@ -422,29 +424,32 @@ def _g2_bound(q: int, width: int, functor: str, ks: tuple) -> tuple:
 
 
 def _g2_admits(bound, tops, rest, v) -> bool:
-    """False when no completion of mu's rows so far (with tops[p] = P_p,
-    so tops[-1] = |lam|) by up to rest more rows of at most v can give a
-    G2 factor the bound admits.  At rest = 0 it is the test on lam itself;
-    True there means only that the bound admits a weight with cohomology
-    (see the module docstring).  This is the walk's inner loop, so it
-    spells out min() as conditional expressions: the builtin call costs a
-    third of it."""
+    """False when no completion of mu's rows so far (tops[p] = P_p, so
+    tops[-1] = |lam|) by the row v <= 2q and up to rest more rows of at
+    most v can give a G2 factor the bound admits; with v, each P_p grows
+    by min(v, 2p).  At v = rest = 0 it is the test on lam itself; True
+    there means only that the bound admits a weight with cohomology (see
+    the module docstring).  This is the walk's inner loop, so it spells
+    out min() as conditional expressions: the builtin call costs a third
+    of it."""
     q, width, down, up, rise, shift = bound
-    total = tops[-1] + shift
+    total = tops[-1] + v + shift
+    reach = total + rest * v
+    more = rest + 1
     for p, top in enumerate(tops):
+        cap = v if v < 2 * p else 2 * p
         rise_p = p * up if p * up < rise else rise
         least = p * (width + p)
-        if (least - (q - p) * down <= total + rest * v
-                and total - top <= rise_p + (q - p) * p
-                and least <= top + rest * (v if v < 2 * p else 2 * p)
-                + rise_p):
+        if (least - (q - p) * down <= reach
+                and total - top - cap <= rise_p + (q - p) * p
+                and least <= top + more * cap + rise_p):
             return True
     return False
 
 
 def _fill_live(out, stack, tops, largest, forbidden, zero_ok, bound):
-    """Walk the rows of mu = lam^T that follow the stack, emitting into
-    out[ell] every live mu the G2 test admits (see the module docstring).
+    """Walk the rows of mu = lam^T that follow the stack, setting out[mu]
+    = |lam| for every live mu the G2 test admits (see the module docstring).
 
     Module-level like the other walks, so no call leaves a reference
     cycle.  Rows 1..j-1 of mu are on the stack, with the running prefix
@@ -453,21 +458,19 @@ def _fill_live(out, stack, tops, largest, forbidden, zero_ok, bound):
     j..s may all be 0 (zero_ok[j]) and the G2 test admits lam.
     Row j may take any v from largest down to 1 with v - j not forbidden,
     if some completion of the rows with v, by the rest = s - j rows after
-    it, could be admitted."""
+    it, could be admitted; only then are its prefix sums built."""
     j = len(stack) + 1
     if zero_ok[j] and _g2_admits(bound, tops, 0, 0):
-        out[tops[-1]][tuple(stack)] = None
+        out[tuple(stack)] = tops[-1]
     if j == len(zero_ok) - 1:
         return
     rest = len(zero_ok) - 2 - j
     for v in range(largest, 0, -1):
-        if v - j in forbidden:
-            continue
-        below = [top + (v if v < 2 * p else 2 * p)
-                 for p, top in enumerate(tops)]
-        if _g2_admits(bound, below, rest, v):
+        if v - j not in forbidden and _g2_admits(bound, tops, rest, v):
             stack.append(v)
-            _fill_live(out, stack, below, v, forbidden, zero_ok, bound)
+            _fill_live(out, stack, [top + (v if v < 2 * p else 2 * p)
+                                    for p, top in enumerate(tops)],
+                       v, forbidden, zero_ok, bound)
             stack.pop()
 
 
@@ -478,13 +481,14 @@ def _live_pieces(data: EmbeddingData, twist1, twist2):
 
     One walk per quotient weight w of twist1 picks the rows of mu = lam^T
     that avoid w's forbidden values and cuts every branch no completion of
-    which the G2 test admits (see the module docstring), all sizes at once;
-    a mu found under several weights is kept once.  Only these mu are
-    transposed and run through Borel-Weil-Bott."""
+    which the G2 test admits (see the module docstring), all sizes at once,
+    into one {mu: ell} dict, sorted stably by ell; a mu found under several
+    weights is kept once.  Only these mu are transposed and run through
+    Borel-Weil-Bott."""
     q1, sub_len = data.q1, data.d1 - data.q1
     quots = _quotient_weights([((0,) * q1, 1)], q1, *twist1).items()
     bound = _g2_bound(data.q2, data.d2 - data.q2, *twist2)
-    found = [{} for _ in range(data.rank_e + 1)]
+    found: dict = {}
     for w, _ in quots:
         forbidden = {x + q1 - i for i, x in enumerate(w, 1)}
         # zero_ok[j]: rows j..s of mu may all be 0.
@@ -493,45 +497,9 @@ def _live_pieces(data: EmbeddingData, twist1, twist2):
             zero_ok[j] = zero_ok[j + 1] and -j not in forbidden
         _fill_live(found, [], [0] * (data.q2 + 1), 2 * data.q2, forbidden,
                    zero_ok, bound)
-    for ell, mus in enumerate(found):
-        for mu in mus:
-            yield ell, transpose(mu), _factor_dims(data.d1, quots,
-                                                   pad(mu, sub_len))
-
-
-@lru_cache(maxsize=CACHE_ENTRIES)
-def _fill_profiles(data: EmbeddingData, twist1, twist2) -> dict:
-    """{ell: CohomologyProfile} of the terms with cohomology under the G1
-    twist twist1 and the G2 twist twist2: each live piece's G2 factor is
-    expanded, twisted and run through Borel-Weil-Bott, and Kunneth sums the
-    products of the two factors' dimensions by total degree."""
-    q2, zeros2 = data.q2, (0,) * (data.d2 - data.q2)
-    terms: dict = {}
-    for ell, lam, dims1 in _live_pieces(data, twist1, twist2):
-        quots2 = _quotient_weights(_double_bundle_cached(lam, q2), q2,
-                                   *twist2)
-        dims2 = _factor_dims(data.d2, quots2.items(), zeros2)
-        dims = terms.setdefault(ell, {})
-        for i1, n1 in dims1.items():
-            for i2, n2 in dims2.items():
-                dims[i1 + i2] = dims.get(i1 + i2, 0) + n1 * n2
-    return {ell: CohomologyProfile(tuple(sorted(dims.items())))
-            for ell, dims in terms.items() if dims}
-
-
-def term_profiles(data: EmbeddingData, sheaf: TautologicalSheaf):
-    """Yield (ell, CohomologyProfile) for every term of the resolution.
-
-    Each profile equals term_cohomology(resolution_terms(data, sheaf, ell)),
-    computed by factored Kunneth (see the module docstring) and cached per
-    embedding and pair of twists; a term without cohomology yields the
-    shared empty profile.  Every weight is valid by construction, so only
-    the sheaf is checked.
-    """
-    _validate_sheaf(data, sheaf)
-    profiles = _fill_profiles(data, _twist(sheaf, G1), _twist(sheaf, G2))
-    for ell in range(data.rank_e + 1):
-        yield ell, profiles.get(ell, _ACYCLIC)
+    for mu, ell in sorted(found.items(), key=itemgetter(1)):
+        yield ell, transpose(mu), _factor_dims(data.d1, quots,
+                                               pad(mu, sub_len))
 
 
 class QuotCohomology(namedtuple("QuotCohomology",
@@ -548,15 +516,59 @@ class QuotCohomology(namedtuple("QuotCohomology",
     __slots__ = ()
 
 
+# (ell, _ACYCLIC) for ell = 0, 1, ...: every record's acyclic terms.
+_ACYCLIC_TERMS: list = []
+
+
+@lru_cache(maxsize=CACHE_ENTRIES)
+def _fill_profiles(data: EmbeddingData, twist1, twist2) -> QuotCohomology:
+    """The QuotCohomology of the sheaves with G1 twist twist1 and G2 twist
+    twist2: each live piece's G2 factor is expanded, twisted and run
+    through Borel-Weil-Bott, Kunneth sums the products of the two factors'
+    dimensions by total degree, and chi and the degeneration flag are
+    summed as each term's profile is made."""
+    q2, zeros2 = data.q2, (0,) * (data.d2 - data.q2)
+    terms: dict = {}
+    for ell, lam, dims1 in _live_pieces(data, twist1, twist2):
+        quots2 = _quotient_weights(_double_bundle_cached(lam, q2), q2,
+                                   *twist2)
+        dims2 = _factor_dims(data.d2, quots2.items(), zeros2)
+        dims = terms.setdefault(ell, {})
+        for i1, n1 in dims1.items():
+            for i2, n2 in dims2.items():
+                dims[i1 + i2] = dims.get(i1 + i2, 0) + n1 * n2
+    count = data.rank_e + 1
+    if len(_ACYCLIC_TERMS) < count:
+        _ACYCLIC_TERMS.extend((ell, _ACYCLIC) for ell in
+                              range(len(_ACYCLIC_TERMS), count))
+    per_term = _ACYCLIC_TERMS[:count]
+    chi, degenerate = 0, True
+    for ell, dims in terms.items():
+        if dims:
+            profile = CohomologyProfile(tuple(sorted(dims.items())))
+            per_term[ell] = ell, profile
+            chi += (-1) ** ell * profile.chi
+            degenerate = degenerate and not ell
+    return QuotCohomology(chi, degenerate,
+                          per_term[0][1].dims if degenerate else None,
+                          tuple(per_term))
+
+
+def term_profiles(data: EmbeddingData, sheaf: TautologicalSheaf) -> tuple:
+    """The (ell, CohomologyProfile) pairs of every term of the resolution:
+    the cached record's per_term.  Each profile equals
+    term_cohomology(resolution_terms(data, sheaf, ell)), computed by
+    factored Kunneth (see the module docstring)."""
+    return quot_cohomology(data, sheaf).per_term
+
+
 def quot_cohomology(data: EmbeddingData,
                     sheaf: TautologicalSheaf) -> QuotCohomology:
-    """Resolve term by term and aggregate the terms with cohomology."""
-    per_term = tuple(term_profiles(data, sheaf))
-    live = [(ell, p) for ell, p in per_term if p.dims]
-    chi = sum((-1) ** ell * p.chi for ell, p in live)
-    degenerate = all(ell == 0 for ell, _ in live)
-    dims = per_term[0][1].dims if degenerate else None
-    return QuotCohomology(chi, degenerate, dims, per_term)
+    """Resolve term by term and aggregate the terms with cohomology, as
+    cached per embedding and pair of twists.  Every weight is valid by
+    construction, so only the sheaf is checked."""
+    _validate_sheaf(data, sheaf)
+    return _fill_profiles(data, _twist(sheaf, G1), _twist(sheaf, G2))
 
 
 TheoremReport = namedtuple("TheoremReport",

@@ -12,9 +12,12 @@ it lists every pair (lam^T, lam) of every term with cauchy_wedge and keeps
 those whose twisted G1 factor has cohomology by Borel-Weil-Bott.  The two
 share the twist's quotient weights and the Borel-Weil-Bott step, but the
 scan runs that step on every piece to decide which are live, where the
-walk decides by its per-row rule and never lists a dead piece.  The G2
-test of lam itself, g2_admits, is the walk's branch cut at rest = 0, fed
-the prefix sums of lam that the walk carries as running sums.
+walk decides by its per-row rule and never lists a dead piece.
+g2_admits_below is the walk's branch cut read off a built list of the
+child's prefix sums, where quot._g2_admits reads the parent's sums and
+the candidate row.  The G2 test of lam itself, g2_admits, is that cut at
+rest = 0, fed the prefix sums of lam that the walk carries as running
+sums.
 
 bwb_oracle is Borel-Weil-Bott read off the definition in four passes: shift
 by rho, test for a repeated entry, count the inversions pair by pair and
@@ -45,7 +48,6 @@ from quotcoh.partitions import (
 from quotcoh.quot import (
     G1,
     _factor_dims,
-    _g2_admits,
     _g2_bound,
     _quotient_weights,
     _twist,
@@ -171,7 +173,24 @@ def g2_admits(lam: tuple, q: int, width: int, functor: str, ks: tuple) -> bool:
     lam's prefix sums P_p = lam_1 + ... + lam_{2p}, p = 0..q; lam has at
     most 2q rows, so P_q is its size."""
     tops = [sum(lam[:2 * p]) for p in range(q + 1)]
-    return _g2_admits(_g2_bound(q, width, functor, ks), tops, 0, 0)
+    return g2_admits_below(_g2_bound(q, width, functor, ks), tops, 0, 0)
+
+
+def g2_admits_below(bound, below, rest, v) -> bool:
+    """The walk's cut on a built list below[p] = P_p of the prefix sums of
+    mu's rows so far, the last of them at most v: False when no completion
+    by up to rest more rows of at most v can give a G2 factor the bound
+    admits."""
+    q, width, down, up, rise, shift = bound
+    total = below[-1] + shift
+    for p, top in enumerate(below):
+        rise_p = min(p * up, rise)
+        least = p * (width + p)
+        if (least - (q - p) * down <= total + rest * v
+                and total - top <= rise_p + (q - p) * p
+                and least <= top + rest * min(v, 2 * p) + rise_p):
+            return True
+    return False
 
 
 def bwb_oracle(d: int, weight: tuple) -> tuple | None:

@@ -5,6 +5,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quotcoh import cli, partitions, quot, schur
 from quotcoh.partitions import enumerate_in_box, pad
@@ -24,7 +25,7 @@ from quotcoh.quot import (
     verify_theorem,
     wedge_power,
 )
-from oracles import g1_scan, g2_admits
+from oracles import g1_scan, g2_admits, g2_admits_below
 
 
 def test_embedding_examples():
@@ -352,53 +353,67 @@ def test_reference_terms_leave_the_memo_empty(cold_caches):
     assert info.hits == info.misses == info.currsize == 0
 
 
+def _acyclic_pair(record, ell) -> bool:
+    """Term ell of the record is the pair every record shares for an
+    acyclic term."""
+    pair = record.per_term[ell]
+    return pair is quot._ACYCLIC_TERMS[ell] and pair[1] is quot._ACYCLIC
+
+
 def test_one_entry_per_twist_pair(cold_caches):
     # every term of every sheaf under one pair (G1 twist, G2 twist) shares
-    # one entry, keyed by the embedding and the two twists alone.  The
-    # walk leaves pieces in term 3 of sym^3 on G2 whose G2 factors are all
-    # acyclic, and the entry leaves that term out.
+    # one entry, keyed by the embedding and the two twists alone, and the
+    # entry is the record quot_cohomology returns.  The walk leaves pieces
+    # in term 3 of sym^3 on G2 whose G2 factors are all acyclic, and the
+    # entry reads that term as the shared acyclic pair.
     data = embedding_data(2, None, 2, 0, 2)
     sheaves = (sym_power(2, G1), sym_power(2, G1), wedge_power(1, G1),
                wedge_power(1, G2), dual_wedge_product(((1, G1), (1, G2))),
                wedge_power(0, G1), sym_power(3, G2))
-    for sheaf in sheaves:
-        quot_cohomology(data, sheaf)
+    records = [quot_cohomology(data, sheaf) for sheaf in sheaves]
     keys = [(("dual", (1,)), ("dual", (1,))), (("sym", (2,)), ("wedge", ())),
             (("wedge", ()), ("sym", (3,))), (("wedge", ()), ("wedge", ())),
             (("wedge", ()), ("wedge", (1,))), (("wedge", (1,)), ("wedge", ()))]
     info = quot._fill_profiles.cache_info()
     assert info.misses == info.currsize == 6
-    entries = [quot._fill_profiles(data, *key) for key in keys]
+    entries = {key: quot._fill_profiles(data, *key) for key in keys}
     assert quot._fill_profiles.cache_info().misses == 6
-    for entry in entries:
-        # one profile per term with cohomology, in term order
-        assert list(entry) == sorted(entry)
-        assert set(entry) <= set(range(data.rank_e + 1))
-        assert all(not p.is_zero for p in entry.values())
+    for sheaf, record in zip(sheaves, records):
+        key = (quot._twist(sheaf, G1), quot._twist(sheaf, G2))
+        assert record is entries[key]
+    for entry in entries.values():
+        # one pair per term, in term order; a term without cohomology is
+        # the shared acyclic pair
+        assert [ell for ell, _ in entry.per_term] == list(
+            range(data.rank_e + 1))
+        assert all(not p.is_zero or _acyclic_pair(entry, ell)
+                   for ell, p in entry.per_term)
+    sym3 = entries[("wedge", ()), ("sym", (3,))]
+    assert _acyclic_pair(sym3, 3)
 
 
 def test_memo_stores_only_terms_with_pieces(cold_caches):
     # On the sweep's (4, 2, 0, 2), wedge^1 on G2 has cohomology in 1 of its
-    # 25 terms: the pair entry holds that one, and every other term reads
-    # as the shared empty profile
+    # 25 terms: the pair's record holds a profile for that one, and every
+    # other term is the shared acyclic pair
     data = embedding_data(4, None, 2, 0, 2)
     sheaf = wedge_power(1, G2)
     res = quot_cohomology(data, sheaf)
     entry = quot._fill_profiles(data, quot._twist(sheaf, G1),
                                 quot._twist(sheaf, G2))
     assert quot._fill_profiles.cache_info()[:2] == (1, 1)
-    assert 0 < len(entry) < data.rank_e + 1
+    assert entry is res
     assert [ell for ell, _ in res.per_term] == list(range(data.rank_e + 1))
-    assert {ell: p for ell, p in res.per_term if not p.is_zero} == entry
-    zero = [p for ell, p in res.per_term if ell not in entry]
-    assert len(zero) == data.rank_e + 1 - len(entry)
-    assert all(p is quot._ACYCLIC for p in zero)
+    live = [ell for ell, p in res.per_term if not p.is_zero]
+    assert live == [0]
+    assert all(_acyclic_pair(res, ell) for ell in range(1, data.rank_e + 1))
 
 
 def test_memo_hit_runs_no_walk_and_no_expansion(monkeypatch, cold_caches):
     # the factors of a dual product commute, so both orders of one product
     # read one entry; the second order finds it filled, so it neither walks
-    # nor expands, and gets the answer of cold caches
+    # nor expands, and gets the record of the first and the answer of cold
+    # caches
     def refuse(*args):
         raise AssertionError("a memo hit walked or expanded")
 
@@ -408,19 +423,78 @@ def test_memo_hit_runs_no_walk_and_no_expansion(monkeypatch, cold_caches):
     first = quot_cohomology(data, dual_wedge_product(first_order))
     entry = quot._fill_profiles(data, ("dual", (1,)), ("dual", (2, 1)))
     assert quot._fill_profiles.cache_info()[:2] == (1, 1)
-    assert len(entry) == 5  # the hit has terms to read
+    assert entry is first
+    # the hit has terms to read
+    assert sum(not p.is_zero for _, p in entry.per_term) == 5
     with monkeypatch.context() as patch:
         patch.setattr(quot, "_fill_live", refuse)
         patch.setattr(quot, "_double_bundle_cached", refuse)
         second = quot_cohomology(data, dual_wedge_product(second_order))
     info = quot._fill_profiles.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
-    assert quot._fill_profiles(data, ("dual", (1,)), ("dual", (2, 1))) \
-        is entry
+    assert second is entry
     _clear(cold_caches)
     cold = quot_cohomology(embedding_data(3, None, 1, 1, 2),
                            dual_wedge_product(second_order))
     assert first == second == cold
+
+
+def test_equal_twists_share_one_record(cold_caches):
+    # sheaves with equal twists on both sides get the identical record:
+    # sym^1 and wedge^1, the two orders of a dual product, and a product
+    # with and without a degree-0 factor.  Records of two embeddings share
+    # the pairs of the terms both read as acyclic.
+    data = embedding_data(3, None, 2, 1, 2)
+    pairs = [(sym_power(1, side), wedge_power(1, side)) for side in (G1, G2)]
+    pairs.append((dual_wedge_product(((2, G2), (1, G1))),
+                  dual_wedge_product(((1, G1), (2, G2)))))
+    pairs.append((dual_wedge_product(((2, G2), (0, G1))),
+                  dual_wedge_product(((2, G2),))))
+    pairs.append((dual_wedge_product(((1, G2), (0, G2), (1, G1))),
+                  dual_wedge_product(((1, G1), (1, G2)))))
+    for a, b in pairs:
+        assert quot_cohomology(data, a) is quot_cohomology(data, b), (a, b)
+    other = embedding_data(4, None, 2, 0, 2)
+    a = quot_cohomology(data, sym_power(2, G1))
+    b = quot_cohomology(other, dual_wedge_product(((1, G1), (1, G2))))
+    both = [ell for ell in range(min(len(a.per_term), len(b.per_term)))
+            if a.per_term[ell][1].is_zero and b.per_term[ell][1].is_zero]
+    assert len(both) > 10
+    assert all(a.per_term[ell] is b.per_term[ell] for ell in both)
+
+
+@given(st.data())
+def test_g2_cut_reads_the_parent_sums_and_the_row(draw):
+    # _g2_admits on the parent's prefix sums and the candidate row v agrees
+    # with the cut on the child's built list, below[p] = tops[p] +
+    # min(v, 2p), for any bound, sums, rest and v <= 2q
+    q = draw.draw(st.integers(0, 5))
+    bound = (q, draw.draw(st.integers(0, 8)), draw.draw(st.integers(0, 6)),
+             draw.draw(st.integers(0, 4)), draw.draw(st.integers(0, 10)),
+             draw.draw(st.integers(-10, 10)))
+    tops = draw.draw(st.lists(st.integers(0, 30), min_size=q + 1,
+                              max_size=q + 1))
+    rest = draw.draw(st.integers(0, 6))
+    v = draw.draw(st.integers(0, 2 * q))
+    below = [top + min(v, 2 * p) for p, top in enumerate(tops)]
+    assert quot._g2_admits(bound, tops, rest, v) == g2_admits_below(
+        bound, below, rest, v)
+
+
+@pytest.mark.parametrize("functor, ks, sides, message", [
+    ("tensor", (1,), (G2,), "unknown functor 'tensor'"),
+    ("wedge", ("one",), (G2,),
+     "invalid literal for int() with base 10: 'one'"),
+    ("dual", (1, 1), (G2,), "each degree needs a side"),
+    ("dual", (1, 1), (G2, "G3"), "sides must be G1 or G2"),
+    ("sym", (1, 1), (G2, G2), "wedge and sym take a single degree"),
+    ("wedge", (), (), "wedge and sym take a single degree"),
+    ("dual", (1, -1), (G1, G2), "degrees must be nonnegative"),
+])
+def test_sheaf_messages(functor, ks, sides, message):
+    with pytest.raises(ValueError) as err:
+        quot.TautologicalSheaf(functor, ks, sides)
+    assert str(err.value) == message
 
 
 def _g1_twisted_sheaves(q):
@@ -556,6 +630,11 @@ def test_quot_cohomology_examples():
     res = quot_cohomology(embedding_data(2, None, 1, 0, 1),
                           dual_wedge_product(((1, G2),)))
     assert res.chi == 0 and res.dims == ()
+    # term 1 alone past term 0 has cohomology, so nothing is certified
+    res = quot_cohomology(embedding_data(2, (1, 0), 0, 1, 0), wedge_power(1))
+    assert [(ell, p.dims) for ell, p in res.per_term if p.dims] == [
+        (0, ((0, 3),)), (1, ((0, 2),))]
+    assert not res.degenerate and res.dims is None and res.chi == 1
 
 
 def test_profile_degrees_within_ambient_dimension():
