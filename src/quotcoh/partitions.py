@@ -11,7 +11,7 @@ kept.
 import math
 from operator import ge
 
-# The bound shared by the engine's six caches.  The largest fill measured
+# The bound shared by the engine's seven caches.  The largest fill measured
 # is 3,287 entries, so no measured run evicts.
 CACHE_ENTRIES = 1 << 14
 
@@ -122,24 +122,41 @@ def weyl_dim(w: tuple, d: int) -> int:
 
     Computed by the Weyl formula prod_{i<j} (w_i - w_j + j - i) / (j - i),
     over exact integers with a final integrality check.  A pair with
-    w_i = w_j contributes exactly 1, so each i starts j past its run of
-    equal entries.
+    w_i = w_j contributes exactly 1, so entries are taken against the runs
+    of equal entries after their own.  Against a run j = s..e-1 of value y,
+    entry i's factors, with a = w_i - y, telescope to
+    perm(a + e-1 - i, a) / perm(a + s-1 - i, a), or over the run's length
+    L = e - s to perm(a + e-1 - i, L) / perm(e-1 - i, L): one ratio of the
+    fewer factors per entry and run, so a long run costs as little as one
+    entry.  The runs are read from the last, checking the order on the way.
     """
     if len(w) != d:
         raise ValueError(f"weight {w} does not have length {d}")
-    for a, b in zip(w, w[1:]):
-        if a < b:
-            raise ValueError(f"not weakly decreasing: {w}")
     num = den = 1
-    after_run = 0
-    for i in range(d):
-        if after_run <= i:
-            after_run = i + 1
-            while after_run < d and w[after_run] == w[i]:
-                after_run += 1
-        for j in range(after_run, d):
-            num *= w[i] - w[j] + j - i
-            den *= j - i
+    runs = []  # (s, e, y) of the runs after the one at hand
+    end = d
+    for start in range(d - 1, -1, -1):
+        y = w[start]
+        if start:
+            before = w[start - 1]
+            if before == y:
+                continue
+            if before < y:
+                raise ValueError(f"not weakly decreasing: {w}")
+        for i in range(start, end):
+            for s, e, x in runs:
+                a = y - x
+                if e - s == 1:
+                    num *= a + s - i
+                    den *= s - i
+                elif a < e - s:
+                    num *= math.perm(a + e - 1 - i, a)
+                    den *= math.perm(a + s - 1 - i, a)
+                else:
+                    num *= math.perm(a + e - 1 - i, e - s)
+                    den *= math.perm(e - 1 - i, e - s)
+        runs.append((start, end, y))
+        end = start
     q, r = divmod(num, den)
     if r:
         raise ArithmeticError(f"Weyl formula gave a non-integer for {w}")

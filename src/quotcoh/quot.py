@@ -91,19 +91,42 @@ of 17,500, which the expansion then decides.
 The walk runs the test as it builds mu (_g2_admits).  Column j of lam
 meets its first 2p rows in min(mu_j, 2p) boxes, so P_p = sum_j min(mu_j, 2p)
 is a running sum of the rows chosen so far, and so is |lam| = P_q2, since
-no row of mu exceeds 2 q2.  Before
-the walk takes v as row j, with rest = s - j rows after it, each at most
-v, it bounds every completion of the rows so far, v included: P_p grows by
-at most rest * min(v, 2p), since a later row u adds min(u, 2p) <=
-min(v, 2p); |lam| grows by at most rest * v; and the tail |lam| - P_p =
-sum_j max(mu_j - 2p, 0) never falls.  So (A) failing with
-P_p + rest * min(v, 2p), (B) with |lam| + rest * v or (C) with the
-current tail fails on every completion, and when for every p one of them
-fails, the branch is cut.  The bounds ignore the G1 rule, so a cut removes
-only pieces the test rejects.  At rest = 0 each bound is the value itself
-and the cut is the test on lam, which the walk runs wherever mu may end; so
-it emits exactly the pieces live on G1 and admitted on G2.
+no row of mu exceeds 2 q2.  Before the walk takes v as row j, with rest =
+s - j rows after it, it bounds every completion of the rows so far, v
+included, by the G1 rule.  A later row i is at most the row above it and
+either 0 or clear of F_w, so it is at most c_i, where c_j = v and
 
+    c_{i+1} = max{u <= c_i : u - (i+1) not in F_w}, or 0 once no u is left;
+
+the rows after v sum to at most chain = c_{j+1} + ... + c_s <= rest * v.
+So P_p grows by at most cap + min(rest * cap, chain), cap = min(v, 2p),
+since a later row u adds min(u, 2p) <= min(c_i, cap); |lam| grows by at
+most v + chain; and the tail |lam| - P_p = sum_j max(mu_j - 2p, 0) never
+falls.  So (A) failing with the first bound, (B) with the second or (C)
+with the current tail fails on every completion, and when for every p
+one of them fails, the branch is cut.  Divided by p, the first bound
+falls as p grows (each min(x, 2p) / p does), while the left side of (A),
+p * (width + p) - rise_p, rises; so once (A) fails at some p >= 1 it
+fails at every larger p, and the test stops at the first p where it does.
+
+The chain sums depend only on F_w, 2 q2 and s.  They are tabulated from
+row s up, row j's entry for v being c_{j+1} plus row j+1's entry for
+c_{j+1}, and only for rows j < J = 2 q2 - min F_w: past J no u <= 2 q2 has
+u - i in F_w, so the chain is v, v, ... and rest * v is its exact sum.
+That keeps a weight's table at O(q2^2) entries where s runs to the
+thousands.  With it the walk keeps each weight's allowed values per row,
+largest first, and the first row j from which rows j..s may all be 0.
+The cut drops only completions it proves rejected, and at rest = 0 each
+bound is the value itself, so the cut is the test on lam, which the walk
+runs wherever mu may end; however much the cut prunes, the walk emits
+exactly the pieces live on G1 and admitted on G2.
+
+What a walk reads of its G1 twist, the twist's quotient weights and each
+weight's table (_g1_side), depends on the embedding and the G1 twist
+alone, so it is cached apart from the records, in one bounded lru_cache
+keyed by the pair: fills that share a G1 twist under different G2 twists
+read one entry, and a series table, whose sheaves all have the identity
+G1 twist, builds one per embedding.
 The finished QuotCohomology records are cached in _fill_profiles, one
 bounded lru_cache keyed by the embedding's value and the pair of twists,
 each side's (functor, ks) over its factors of positive degree (the
@@ -411,43 +434,89 @@ def _factor_dims(d: int, quots, sub: tuple) -> dict:
     return dims
 
 
-def _g2_bound(q: int, width: int, functor: str, ks: tuple) -> tuple:
-    """What the G2 test reads off the twist (functor, ks) on the
-    Grassmannian of rank-q quotients of (q + width)-dimensional space:
-    (q, width, down, up, rise, shift), with every entry of a twisted weight
-    at least -down, the first p rows rising by at most min(p * up, rise) and
-    |w| = |lam| + shift (see the module docstring)."""
+def _g2_bound(q: int, width: int, functor: str, ks: tuple) -> list:
+    """The G2 test of the twist (functor, ks) on the Grassmannian of rank-q
+    quotients of (q + width)-dimensional space, as one (2p, least - rise_p,
+    least - (q - p) * down - shift, rise_p + (q - p) * p - shift) per p =
+    0..q, with least = p * (width + p): every entry of a twisted weight is
+    at least -down, the first p rows rise by at most rise_p and |w| = |lam|
+    + shift (see the module docstring)."""
     if functor == "dual":
-        return q, width, 0, len(ks), sum(ks), sum(ks)
-    down = len(ks) if functor == "wedge" else sum(ks)
-    return q, width, down, 0, 0, -sum(ks)
-
-
-def _g2_admits(bound, tops, rest, v) -> bool:
-    """False when no completion of mu's rows so far (tops[p] = P_p, so
-    tops[-1] = |lam|) by the row v <= 2q and up to rest more rows of at
-    most v can give a G2 factor the bound admits; with v, each P_p grows
-    by min(v, 2p).  At v = rest = 0 it is the test on lam itself; True
-    there means only that the bound admits a weight with cohomology (see
-    the module docstring).  This is the walk's inner loop, so it spells
-    out min() as conditional expressions: the builtin call costs a third
-    of it."""
-    q, width, down, up, rise, shift = bound
-    total = tops[-1] + v + shift
-    reach = total + rest * v
-    more = rest + 1
-    for p, top in enumerate(tops):
-        cap = v if v < 2 * p else 2 * p
-        rise_p = p * up if p * up < rise else rise
+        down, up, rise, shift = 0, len(ks), sum(ks), sum(ks)
+    else:
+        down = len(ks) if functor == "wedge" else sum(ks)
+        up = rise = 0
+        shift = -sum(ks)
+    out = []
+    for p in range(q + 1):
         least = p * (width + p)
-        if (least - (q - p) * down <= reach
-                and total - top - cap <= rise_p + (q - p) * p
-                and least <= top + more * cap + rise_p):
+        rise_p = p * up if p * up < rise else rise
+        out.append((2 * p, least - rise_p, least - (q - p) * down - shift,
+                    rise_p + (q - p) * p - shift))
+    return out
+
+
+def _g2_admits(bound, tops, rest, v, chain) -> bool:
+    """False when no completion of mu's rows so far (tops[p] = P_p, so
+    tops[-1] = |lam|) by the row v <= 2q and up to rest more rows, whose
+    sum is at most chain <= rest * v, can give a G2 factor the bound
+    admits; with v, each P_p grows by min(v, 2p).  (A) fails at every p
+    past the first where it fails, so the loop stops there.  At v = rest =
+    chain = 0 it is the test on lam itself; True there means only that the
+    bound admits a weight with cohomology (see the module docstring).  This
+    is the walk's inner loop, so it spells out min() as conditional
+    expressions: the builtin call costs a third of it."""
+    total = tops[-1] + v
+    reach = total + chain
+    for top, (two_p, least_a, least_b, most_c) in zip(tops, bound):
+        cap = v if v < two_p else two_p
+        more = rest * cap
+        if top + cap + (more if more < chain else chain) < least_a:
+            return False
+        if least_b <= reach and total - top - cap <= most_c:
             return True
     return False
 
 
-def _fill_live(out, stack, tops, largest, forbidden, zero_ok, bound):
+def _walk_rows(forbidden, top: int, s: int) -> tuple:
+    """What the walk reads of one quotient weight's forbidden set F_w on
+    rows 1..s of mu, each at most top = 2 q2: (rows, zero_from).  rows[j]
+    holds, for each value v allowed at row j (v - j not in F_w), largest
+    first, the pair (v, sum of the G1 chain after v); past len(rows) every
+    value is allowed and the chain sum is rest * v.  mu may end at row j
+    iff j >= zero_from (see the module docstring)."""
+    zero_from = 1 + max((-f for f in forbidden if 0 < -f <= s), default=0)
+    last = max(0, min(top - min(forbidden, default=top), s))
+    # chain[v]: the chain sum after row j given row j = v, for j = last
+    chain = [(s - last) * v for v in range(top + 1)]
+    rows = [()] * (last + 1)
+    for j in range(last, 0, -1):
+        # row j - 1's chain: row j takes the largest allowed value <= v
+        pairs, best, below = [], 0, [0] * (top + 1)
+        for v in range(1, top + 1):
+            if v - j not in forbidden:
+                pairs.append((v, chain[v]))
+                best = v + chain[v]
+            below[v] = best
+        pairs.reverse()
+        rows[j], chain = pairs, below
+    return rows, zero_from
+
+
+@lru_cache(maxsize=CACHE_ENTRIES)
+def _g1_side(data: EmbeddingData, twist1) -> tuple:
+    """The G1 side of every walk under twist1 = (functor, ks): (quots,
+    walks), the twist's (quotient weight, multiplicity) pairs and one
+    _walk_rows per weight.  It depends on the embedding and twist1 alone,
+    so every fill with this G1 twist reads one entry."""
+    q1, s = data.q1, data.d1 - data.q1
+    quots = tuple(_quotient_weights([((0,) * q1, 1)], q1, *twist1).items())
+    walks = tuple(_walk_rows({x + q1 - i for i, x in enumerate(w, 1)},
+                             2 * data.q2, s) for w, _ in quots)
+    return quots, walks
+
+
+def _fill_live(out, stack, tops, largest, rows, zero_from, s, bound):
     """Walk the rows of mu = lam^T that follow the stack, setting out[mu]
     = |lam| for every live mu the G2 test admits (see the module docstring).
 
@@ -455,22 +524,24 @@ def _fill_live(out, stack, tops, largest, forbidden, zero_ok, bound):
     cycle.  Rows 1..j-1 of mu are on the stack, with the running prefix
     sums tops[p] = P_p, and row j comes next; no row exceeds 2 q2, so
     tops[-1] = P_q2 counts the boxes so far.  mu may end here if rows
-    j..s may all be 0 (zero_ok[j]) and the G2 test admits lam.
-    Row j may take any v from largest down to 1 with v - j not forbidden,
-    if some completion of the rows with v, by the rest = s - j rows after
-    it, could be admitted; only then are its prefix sums built."""
+    j..s may all be 0 (j >= zero_from) and the G2 test admits lam.
+    Row j may take any allowed v from largest down to 1 (rows[j], or every
+    v past len(rows)), if some completion of the rows with v, by the rest =
+    s - j rows after it, could be admitted; only then are its prefix sums
+    built."""
     j = len(stack) + 1
-    if zero_ok[j] and _g2_admits(bound, tops, 0, 0):
+    if j >= zero_from and _g2_admits(bound, tops, 0, 0, 0):
         out[tuple(stack)] = tops[-1]
-    if j == len(zero_ok) - 1:
+    rest = s - j
+    if rest < 0:
         return
-    rest = len(zero_ok) - 2 - j
-    for v in range(largest, 0, -1):
-        if v - j not in forbidden and _g2_admits(bound, tops, rest, v):
+    for v, chain in (rows[j] if j < len(rows) else
+                     [(v, rest * v) for v in range(largest, 0, -1)]):
+        if v <= largest and _g2_admits(bound, tops, rest, v, chain):
             stack.append(v)
             _fill_live(out, stack, [top + (v if v < 2 * p else 2 * p)
                                     for p, top in enumerate(tops)],
-                       v, forbidden, zero_ok, bound)
+                       v, rows, zero_from, s, bound)
             stack.pop()
 
 
@@ -485,21 +556,15 @@ def _live_pieces(data: EmbeddingData, twist1, twist2):
     into one {mu: ell} dict, sorted stably by ell; a mu found under several
     weights is kept once.  Only these mu are transposed and run through
     Borel-Weil-Bott."""
-    q1, sub_len = data.q1, data.d1 - data.q1
-    quots = _quotient_weights([((0,) * q1, 1)], q1, *twist1).items()
+    s = data.d1 - data.q1
+    quots, walks = _g1_side(data, twist1)
     bound = _g2_bound(data.q2, data.d2 - data.q2, *twist2)
     found: dict = {}
-    for w, _ in quots:
-        forbidden = {x + q1 - i for i, x in enumerate(w, 1)}
-        # zero_ok[j]: rows j..s of mu may all be 0.
-        zero_ok = [True] * (sub_len + 2)
-        for j in range(sub_len, 0, -1):
-            zero_ok[j] = zero_ok[j + 1] and -j not in forbidden
-        _fill_live(found, [], [0] * (data.q2 + 1), 2 * data.q2, forbidden,
-                   zero_ok, bound)
+    start = [0] * (data.q2 + 1)
+    for rows, zero_from in walks:
+        _fill_live(found, [], start, 2 * data.q2, rows, zero_from, s, bound)
     for mu, ell in sorted(found.items(), key=itemgetter(1)):
-        yield ell, transpose(mu), _factor_dims(data.d1, quots,
-                                               pad(mu, sub_len))
+        yield ell, transpose(mu), _factor_dims(data.d1, quots, pad(mu, s))
 
 
 class QuotCohomology(namedtuple("QuotCohomology",

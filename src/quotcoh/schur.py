@@ -27,15 +27,16 @@ start + content), which gives:
 Single coefficients are not cached: a triple rarely recurs outside the
 expansion that first asked for it.  The reuse sits one level up, in four
 caches keyed by their input: the tensor step, the doubled expansion and
-the two Pieri rules, and above them in quot's cache of term profiles.  One
-pass of each benchmark workload makes these hits and misses (the sweep's
-expansions are filled in its set-up):
+the two Pieri rules, and above them in quot's caches of finished records
+and of each walk's G1 side.  One pass of each benchmark workload makes
+these hits and misses (the sweep's expansions are filled in its set-up):
 
     cache      grid       series    sweep
     profiles     0 / 0    32 / 40   44 / 60
+    G1 side      0 / 0    28 / 12   42 / 18
     doubled    466 / 82   25 / 3    22 / 0
     tensor     158 / 202   2 / 1     0 / 0
-    wedge      464 / 244   9 / 3    25 / 10
+    wedge      464 / 244   9 / 3    11 / 10
     sym        185 / 292   3 / 1     5 / 3
 
 The grid's certificates (indices._certify) twist each lam several ways,
@@ -44,7 +45,7 @@ few G2 factors its bound lets through, each under several twists and
 ranks.  Both read _double_bundle_cached's tuple as stored, their lam being
 normalized already: its pieces are weights of n entries, the form the
 Pieri chain takes, and double_bundle_expand strips their zeros.  With
-bott.bwb_weight, six caches share the bound partitions.CACHE_ENTRIES.
+bott.bwb_weight, seven caches share the bound partitions.CACHE_ENTRIES.
 The largest fill measured is 3,287 tensor entries, by
 "cohomology --N 3 --n 3 --r 1 --m 4 --functor dual --ks 3,1
 --sides G2,G2", so no measured run evicts.  The Cauchy pairs are not

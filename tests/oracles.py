@@ -14,14 +14,19 @@ share the twist's quotient weights and the Borel-Weil-Bott step, but the
 scan runs that step on every piece to decide which are live, where the
 walk decides by its per-row rule and never lists a dead piece.
 g2_admits_below is the walk's branch cut read off a built list of the
-child's prefix sums, where quot._g2_admits reads the parent's sums and
-the candidate row.  The G2 test of lam itself, g2_admits, is that cut at
-rest = 0, fed the prefix sums of lam that the walk carries as running
-sums.
+child's prefix sums, with the twist's shifts stated here again and every
+p checked, where quot._g2_admits reads the parent's sums, the candidate
+row and precomputed constants per p, and stops at the first p that fails
+(A).  The G2 test of lam itself, g2_admits, is that cut at rest = 0, fed
+the prefix sums of lam that the walk carries as running sums.
 
 bwb_oracle is Borel-Weil-Bott read off the definition in four passes: shift
 by rho, test for a repeated entry, count the inversions pair by pair and
 sort.  bott.bwb_weight does the same in one insertion pass.
+
+weyl_dim_pairwise is the Weyl formula as it is stated, one factor per
+pair i < j, equal entries included; partitions.weyl_dim takes one
+telescoped ratio per entry and run of equal entries.
 
 pieri_chain_oracle twists by one public pieri_wedge or pieri_sym step per
 degree, degree 0 and sym^1 included, where schur._pieri_chain drops the
@@ -48,7 +53,6 @@ from quotcoh.partitions import (
 from quotcoh.quot import (
     G1,
     _factor_dims,
-    _g2_bound,
     _quotient_weights,
     _twist,
 )
@@ -173,24 +177,42 @@ def g2_admits(lam: tuple, q: int, width: int, functor: str, ks: tuple) -> bool:
     lam's prefix sums P_p = lam_1 + ... + lam_{2p}, p = 0..q; lam has at
     most 2q rows, so P_q is its size."""
     tops = [sum(lam[:2 * p]) for p in range(q + 1)]
-    return g2_admits_below(_g2_bound(q, width, functor, ks), tops, 0, 0)
+    return g2_admits_below(q, width, functor, ks, tops, 0, 0, 0)
 
 
-def g2_admits_below(bound, below, rest, v) -> bool:
+def g2_admits_below(q, width, functor, ks, below, rest, v, chain) -> bool:
     """The walk's cut on a built list below[p] = P_p of the prefix sums of
-    mu's rows so far, the last of them at most v: False when no completion
-    by up to rest more rows of at most v can give a G2 factor the bound
-    admits."""
-    q, width, down, up, rise, shift = bound
+    mu's rows so far, the last of them v: False when no completion by up
+    to rest more rows of at most v, whose sum is at most chain, can give a
+    G2 factor of the twist (functor, ks) on G(q + width, q) the bound
+    admits.  Every entry of a twisted weight is at least -down, the first
+    p rows rise by at most min(p * up, rise), and |w| = |lam| + shift."""
+    if functor == "dual":
+        down, up, rise, shift = 0, len(ks), sum(ks), sum(ks)
+    else:
+        down = len(ks) if functor == "wedge" else sum(ks)
+        up, rise, shift = 0, 0, -sum(ks)
     total = below[-1] + shift
     for p, top in enumerate(below):
         rise_p = min(p * up, rise)
         least = p * (width + p)
-        if (least - (q - p) * down <= total + rest * v
+        if (least - (q - p) * down <= total + chain
                 and total - top <= rise_p + (q - p) * p
-                and least <= top + rest * min(v, 2 * p) + rise_p):
+                and least <= top + min(rest * min(v, 2 * p), chain) + rise_p):
             return True
     return False
+
+
+def weyl_dim_pairwise(w: tuple) -> int:
+    """dim of the GL(len(w)) representation with highest weight w: the
+    product of (w_i - w_j + j - i) / (j - i) over every pair i < j."""
+    num = den = 1
+    for i in range(len(w)):
+        for j in range(i + 1, len(w)):
+            num *= w[i] - w[j] + j - i
+            den *= j - i
+    assert num % den == 0
+    return num // den
 
 
 def bwb_oracle(d: int, weight: tuple) -> tuple | None:

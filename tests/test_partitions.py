@@ -19,7 +19,7 @@ from quotcoh.partitions import (
     union,
     weyl_dim,
 )
-from oracles import ssyt_count
+from oracles import ssyt_count, weyl_dim_pairwise
 
 
 partitions_st = st.lists(st.integers(0, 8), max_size=6).map(
@@ -166,13 +166,17 @@ def test_box_by_size_is_the_sizes_in_turn():
 def test_weyl_dim_matches_the_pairwise_product(entries):
     # the Weyl formula over every pair i < j, equal entries included
     w = tuple(sorted(entries, reverse=True))
-    num = den = 1
-    for i in range(len(w)):
-        for j in range(i + 1, len(w)):
-            num *= w[i] - w[j] + j - i
-            den *= j - i
-    assert num % den == 0
-    assert weyl_dim(w, len(w)) == num // den
+    assert weyl_dim(w, len(w)) == weyl_dim_pairwise(w)
+
+
+@given(st.lists(st.tuples(st.integers(-15, 15), st.integers(1, 40)),
+                max_size=5))
+def test_weyl_dim_of_long_runs_matches_the_pairwise_product(runs):
+    # runs of equal entries, with gaps between their values both below and
+    # above their lengths, so each entry takes both telescoped ratios
+    w = tuple(sorted((y for y, length in runs for _ in range(length)),
+                     reverse=True))
+    assert weyl_dim(w, len(w)) == weyl_dim_pairwise(w)
 
 
 def test_every_engine_cache_is_bounded(cold_caches, capsys):
@@ -188,7 +192,8 @@ def test_every_engine_cache_is_bounded(cold_caches, capsys):
         assert cli.run(argv) == 2
     # the parser of every command and that of verify
     assert cli.build_parser.cache_info().currsize == 2
-    assert len(bounds) >= 6 and "quotcoh.quot._fill_profiles" in bounds
+    assert len(bounds) >= 7 and "quotcoh.quot._fill_profiles" in bounds
+    assert "quotcoh.quot._g1_side" in bounds
     assert set(bounds.values()) == {partitions.CACHE_ENTRIES}
     assert not hasattr(weyl_dim, "cache_info")
     assert not hasattr(partitions, "weyl_dim_uncached")

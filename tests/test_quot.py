@@ -465,20 +465,81 @@ def test_equal_twists_share_one_record(cold_caches):
 
 @given(st.data())
 def test_g2_cut_reads_the_parent_sums_and_the_row(draw):
-    # _g2_admits on the parent's prefix sums and the candidate row v agrees
-    # with the cut on the child's built list, below[p] = tops[p] +
-    # min(v, 2p), for any bound, sums, rest and v <= 2q
+    # _g2_admits on the parent's prefix sums, the candidate row v and a
+    # chain sum of at most rest * v agrees with the cut on the child's
+    # built list, below[p] = tops[p] + min(v, 2p), checked at every p, for
+    # any twist and rows so far of at most 2q each; so stopping at the
+    # first p that fails (A) loses nothing
     q = draw.draw(st.integers(0, 5))
-    bound = (q, draw.draw(st.integers(0, 8)), draw.draw(st.integers(0, 6)),
-             draw.draw(st.integers(0, 4)), draw.draw(st.integers(0, 10)),
-             draw.draw(st.integers(-10, 10)))
-    tops = draw.draw(st.lists(st.integers(0, 30), min_size=q + 1,
-                              max_size=q + 1))
+    width = draw.draw(st.integers(0, 8))
+    functor = draw.draw(st.sampled_from(("wedge", "sym", "dual")))
+    ks = tuple(draw.draw(st.lists(st.integers(0, 4), max_size=3)))
+    rows = sorted(draw.draw(st.lists(st.integers(1, max(2 * q, 1)),
+                                     max_size=6)), reverse=True)
+    rows = [min(u, 2 * q) for u in rows]
+    tops = [sum(min(u, 2 * p) for u in rows) for p in range(q + 1)]
+    v = draw.draw(st.integers(0, rows[-1] if rows else 2 * q))
     rest = draw.draw(st.integers(0, 6))
-    v = draw.draw(st.integers(0, 2 * q))
+    chain = draw.draw(st.integers(0, rest * v))
     below = [top + min(v, 2 * p) for p, top in enumerate(tops)]
-    assert quot._g2_admits(bound, tops, rest, v) == g2_admits_below(
-        bound, below, rest, v)
+    bound = quot._g2_bound(q, width, functor, ks)
+    assert quot._g2_admits(bound, tops, rest, v, chain) == g2_admits_below(
+        q, width, functor, ks, below, rest, v, chain)
+
+
+def _completions(j, v, s, forbidden):
+    """Every row sum of rows j+1..s of mu after row j = v: rows weakly
+    decreasing, each 0 or a value u with u - i not in F_w on row i."""
+    if j == s:
+        yield 0
+        return
+    for u in range(v, -1, -1):
+        if u == 0 or u - (j + 1) not in forbidden:
+            for tail in _completions(j + 1, u, s, forbidden):
+                yield u + tail
+
+
+@given(st.integers(1, 7), st.integers(0, 4),
+       st.sets(st.integers(-8, 8), max_size=5))
+def test_chain_bounds_every_completion(s, q2, forbidden):
+    # The chain sum after row j = v, read where the walk reads it (rows[j]
+    # or rest * v past the stored rows), is the largest row sum of any
+    # completion whose rows avoid F_w, so it bounds each one, and never
+    # exceeds rest * v; rows[j] lists the allowed values largest first, and
+    # mu may end at row j exactly when rows j..s may all be 0
+    top = 2 * q2
+    rows, zero_from = quot._walk_rows(forbidden, top, s)
+    # rows 1..J, J = 2 q2 - min F_w, at most
+    assert len(rows) - 1 <= max(0, top - min(forbidden, default=top))
+    for j in range(1, s + 1):
+        allowed = [v for v in range(top, 0, -1) if v - j not in forbidden]
+        if j < len(rows):
+            pairs = rows[j]
+        else:
+            assert allowed == list(range(top, 0, -1))
+            pairs = [(v, (s - j) * v) for v in allowed]
+        assert [v for v, _ in pairs] == allowed
+        for v, chain in pairs:
+            assert chain == max(_completions(j, v, s, forbidden))
+            assert chain <= (s - j) * v
+    for j in range(1, s + 2):
+        assert (j >= zero_from) == all(-i not in forbidden
+                                       for i in range(j, s + 1))
+
+
+def test_the_cut_pins_the_walk(capsys, cold_caches, count_calls):
+    # The G1 rule in the cut keeps the walk near its output: a series
+    # table visits at most 260 nodes where a cut by rest * v visits 631,
+    # and it builds one G1 side per embedding, since every sheaf of the
+    # table has the identity G1 twist
+    walks = count_calls(quot, "_fill_live")
+    assert cli.run(["series", "wedge", "--N", "2", "--degL", "6",
+                    "--nmax", "6"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+    assert len(walks) <= 260
+    info = quot._g1_side.cache_info()
+    assert info.misses == info.currsize == 7
+    assert info.hits == quot._fill_profiles.cache_info().misses - 7
 
 
 @pytest.mark.parametrize("functor, ks, sides, message", [
