@@ -32,6 +32,7 @@ from .quot import (
     embedding_data,
     quot_cohomology,
     sym_power,
+    term_profiles,
     verify_resolution_propositions,
     verify_theorem,
     wedge_power,
@@ -105,12 +106,13 @@ def _emit(doc: dict, fmt: str):
         print(json.dumps(doc))
 
 
-def _cohomology_doc(result) -> dict:
+def _cohomology_doc(data, sheaf) -> dict:
+    result = quot_cohomology(data, sheaf)
     doc = {"chi": result.chi, "degenerate": result.degenerate,
            "dims": None if result.dims is None else dict(result.dims)}
     doc["per_term"] = [
         {"ell": ell, "dims": dict(p.dims), "chi": p.chi, "acyclic": p.is_zero}
-        for ell, p in result.per_term
+        for ell, p in term_profiles(data, sheaf)
     ]
     return doc
 
@@ -199,12 +201,11 @@ def _cmd_cohomology(args):
     alone."""
     data = _data_from_args(args)
     sheaf = _sheaf_from_args(args)
-    result = quot_cohomology(data, sheaf)
     doc = {"sheaf": sheaf.describe()}
     if args.command == "chi":
-        doc["chi"] = result.chi
+        doc["chi"] = quot_cohomology(data, sheaf).chi
     else:
-        doc.update(_cohomology_doc(result))
+        doc.update(_cohomology_doc(data, sheaf))
     return doc, True
 
 
@@ -222,7 +223,7 @@ def _cmd_theorem(args):
     return {
         "theorem": which,
         **head,
-        "computed": _cohomology_doc(report.computed),
+        "computed": _cohomology_doc(data, report.sheaf),
         "verified": report.verified,
     }, report.verified
 

@@ -133,7 +133,8 @@ each side's (functor, ks) over its factors of positive degree (the
 identity twist when there are none; sym^1 reads as wedge^1), and filled in
 one pass: the walk, Borel-Weil-Bott on each piece's G1 factor, the doubled
 expansion, Pieri twist and Borel-Weil-Bott of its G2 factor, and Kunneth.
-Every record's acyclic terms are the same shared (ell, _ACYCLIC) pairs, so
+A record holds only its terms with cohomology, so its size follows them,
+not rank E; term_profiles lists every term, _ACYCLIC in the gaps.
 quot_cohomology is one cache read, and sheaves with equal twists get the
 identical record.  The walk's output depends on both twists, hence the
 pair key.  The key is exact: a record depends only on (N, splitting, n, r,
@@ -575,14 +576,11 @@ class QuotCohomology(namedtuple("QuotCohomology",
     resolution.  dims reports actual cohomology of the sheaf on Quot and is
     only available (else None) when the degeneration flag certifies that
     every term in degrees >= 1 is acyclic.  per_term holds the
-    (ell, CohomologyProfile) pairs.
+    (ell, CohomologyProfile) pairs of the terms with cohomology alone, by
+    increasing ell; term_profiles lists every term.
     """
 
     __slots__ = ()
-
-
-# (ell, _ACYCLIC) for ell = 0, 1, ...: every record's acyclic terms.
-_ACYCLIC_TERMS: list = []
 
 
 @lru_cache(maxsize=CACHE_ENTRIES)
@@ -591,7 +589,8 @@ def _fill_profiles(data: EmbeddingData, twist1, twist2) -> QuotCohomology:
     twist2: each live piece's G2 factor is expanded, twisted and run
     through Borel-Weil-Bott, Kunneth sums the products of the two factors'
     dimensions by total degree, and chi and the degeneration flag are
-    summed as each term's profile is made."""
+    summed as each term's profile is made; per_term keeps the terms with
+    cohomology, in the walk's order of increasing ell."""
     q2, zeros2 = data.q2, (0,) * (data.d2 - data.q2)
     terms: dict = {}
     for ell, lam, dims1 in _live_pieces(data, twist1, twist2):
@@ -602,29 +601,27 @@ def _fill_profiles(data: EmbeddingData, twist1, twist2) -> QuotCohomology:
         for i1, n1 in dims1.items():
             for i2, n2 in dims2.items():
                 dims[i1 + i2] = dims.get(i1 + i2, 0) + n1 * n2
-    count = data.rank_e + 1
-    if len(_ACYCLIC_TERMS) < count:
-        _ACYCLIC_TERMS.extend((ell, _ACYCLIC) for ell in
-                              range(len(_ACYCLIC_TERMS), count))
-    per_term = _ACYCLIC_TERMS[:count]
-    chi, degenerate = 0, True
+    per_term, chi, degenerate = [], 0, True
     for ell, dims in terms.items():
         if dims:
             profile = CohomologyProfile(tuple(sorted(dims.items())))
-            per_term[ell] = ell, profile
+            per_term.append((ell, profile))
             chi += (-1) ** ell * profile.chi
             degenerate = degenerate and not ell
-    return QuotCohomology(chi, degenerate,
-                          per_term[0][1].dims if degenerate else None,
+    # when degenerate, the one term with cohomology, if any, is term 0
+    dims = per_term[0][1].dims if per_term else ()
+    return QuotCohomology(chi, degenerate, dims if degenerate else None,
                           tuple(per_term))
 
 
-def term_profiles(data: EmbeddingData, sheaf: TautologicalSheaf) -> tuple:
-    """The (ell, CohomologyProfile) pairs of every term of the resolution:
-    the cached record's per_term.  Each profile equals
+def term_profiles(data: EmbeddingData, sheaf: TautologicalSheaf) -> list:
+    """The (ell, CohomologyProfile) pairs of every term ell = 0..rank_e of
+    the resolution: the cached record's per_term, with _ACYCLIC for each
+    term it leaves out.  Each profile equals
     term_cohomology(resolution_terms(data, sheaf, ell)), computed by
     factored Kunneth (see the module docstring)."""
-    return quot_cohomology(data, sheaf).per_term
+    live = dict(quot_cohomology(data, sheaf).per_term)
+    return [(ell, live.get(ell, _ACYCLIC)) for ell in range(data.rank_e + 1)]
 
 
 def quot_cohomology(data: EmbeddingData,

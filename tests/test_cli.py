@@ -425,7 +425,7 @@ def test_readme_commands_run(capsys):
     # tree.  A command prints no document itself: it returns the document
     # and its verdict, and run alone emits it.
     commands = _readme_commands()
-    assert len(commands) == 19
+    assert len(commands) == 20
     assert sorted(os.listdir(GOLDEN_DIR)) == \
         sorted(_golden_name(argv) for argv in commands)
     for argv in commands:

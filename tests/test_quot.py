@@ -353,19 +353,12 @@ def test_reference_terms_leave_the_memo_empty(cold_caches):
     assert info.hits == info.misses == info.currsize == 0
 
 
-def _acyclic_pair(record, ell) -> bool:
-    """Term ell of the record is the pair every record shares for an
-    acyclic term."""
-    pair = record.per_term[ell]
-    return pair is quot._ACYCLIC_TERMS[ell] and pair[1] is quot._ACYCLIC
-
-
 def test_one_entry_per_twist_pair(cold_caches):
     # every term of every sheaf under one pair (G1 twist, G2 twist) shares
     # one entry, keyed by the embedding and the two twists alone, and the
     # entry is the record quot_cohomology returns.  The walk leaves pieces
     # in term 3 of sym^3 on G2 whose G2 factors are all acyclic, and the
-    # entry reads that term as the shared acyclic pair.
+    # entry leaves that term out.
     data = embedding_data(2, None, 2, 0, 2)
     sheaves = (sym_power(2, G1), sym_power(2, G1), wedge_power(1, G1),
                wedge_power(1, G2), dual_wedge_product(((1, G1), (1, G2))),
@@ -382,20 +375,20 @@ def test_one_entry_per_twist_pair(cold_caches):
         key = (quot._twist(sheaf, G1), quot._twist(sheaf, G2))
         assert record is entries[key]
     for entry in entries.values():
-        # one pair per term, in term order; a term without cohomology is
-        # the shared acyclic pair
-        assert [ell for ell, _ in entry.per_term] == list(
-            range(data.rank_e + 1))
-        assert all(not p.is_zero or _acyclic_pair(entry, ell)
-                   for ell, p in entry.per_term)
-    sym3 = entries[("wedge", ()), ("sym", (3,))]
-    assert _acyclic_pair(sym3, 3)
+        # one pair per term with cohomology, in term order
+        ells = [ell for ell, _ in entry.per_term]
+        assert ells == sorted(set(ells))
+        assert all(not p.is_zero for _, p in entry.per_term)
+    sym3 = ("wedge", ()), ("sym", (3,))
+    assert 3 in [ell for ell, _, _ in quot._live_pieces(data, *sym3)]
+    assert 3 not in dict(entries[sym3].per_term)
+    assert term_profiles(data, sym_power(3, G2))[3] == (3, quot._ACYCLIC)
 
 
 def test_memo_stores_only_terms_with_pieces(cold_caches):
     # On the sweep's (4, 2, 0, 2), wedge^1 on G2 has cohomology in 1 of its
-    # 25 terms: the pair's record holds a profile for that one, and every
-    # other term is the shared acyclic pair
+    # 25 terms: the pair's record holds a profile for that one alone, and
+    # term_profiles reads every other term as acyclic
     data = embedding_data(4, None, 2, 0, 2)
     sheaf = wedge_power(1, G2)
     res = quot_cohomology(data, sheaf)
@@ -403,10 +396,26 @@ def test_memo_stores_only_terms_with_pieces(cold_caches):
                                 quot._twist(sheaf, G2))
     assert quot._fill_profiles.cache_info()[:2] == (1, 1)
     assert entry is res
-    assert [ell for ell, _ in res.per_term] == list(range(data.rank_e + 1))
-    live = [ell for ell, p in res.per_term if not p.is_zero]
-    assert live == [0]
-    assert all(_acyclic_pair(res, ell) for ell in range(1, data.rank_e + 1))
+    assert [ell for ell, _ in res.per_term] == [0]
+    assert not res.per_term[0][1].is_zero
+    terms = term_profiles(data, sheaf)
+    assert [ell for ell, _ in terms] == list(range(data.rank_e + 1))
+    assert terms[0] == res.per_term[0]
+    assert all(p is quot._ACYCLIC for _, p in terms[1:])
+
+
+def test_record_size_follows_its_live_terms(cold_caches):
+    # at m = 3000 the resolution has 11,999 terms and one with cohomology:
+    # the record holds that one, and no module-level list of acyclic terms
+    # grows with rank E
+    data = embedding_data(2, None, 1, 0, 3000)
+    sheaf = wedge_power(1)
+    res = quot_cohomology(data, sheaf)
+    assert len(res.per_term) == 1 and res.chi == 6002
+    terms = term_profiles(data, sheaf)
+    assert len(terms) == data.rank_e + 1 == 11999
+    assert sum(not p.is_zero for _, p in terms) == 1
+    assert not hasattr(quot, "_ACYCLIC_TERMS")
 
 
 def test_memo_hit_runs_no_walk_and_no_expansion(monkeypatch, cold_caches):
@@ -442,8 +451,7 @@ def test_memo_hit_runs_no_walk_and_no_expansion(monkeypatch, cold_caches):
 def test_equal_twists_share_one_record(cold_caches):
     # sheaves with equal twists on both sides get the identical record:
     # sym^1 and wedge^1, the two orders of a dual product, and a product
-    # with and without a degree-0 factor.  Records of two embeddings share
-    # the pairs of the terms both read as acyclic.
+    # with and without a degree-0 factor
     data = embedding_data(3, None, 2, 1, 2)
     pairs = [(sym_power(1, side), wedge_power(1, side)) for side in (G1, G2)]
     pairs.append((dual_wedge_product(((2, G2), (1, G1))),
@@ -454,13 +462,6 @@ def test_equal_twists_share_one_record(cold_caches):
                   dual_wedge_product(((1, G1), (1, G2)))))
     for a, b in pairs:
         assert quot_cohomology(data, a) is quot_cohomology(data, b), (a, b)
-    other = embedding_data(4, None, 2, 0, 2)
-    a = quot_cohomology(data, sym_power(2, G1))
-    b = quot_cohomology(other, dual_wedge_product(((1, G1), (1, G2))))
-    both = [ell for ell in range(min(len(a.per_term), len(b.per_term)))
-            if a.per_term[ell][1].is_zero and b.per_term[ell][1].is_zero]
-    assert len(both) > 10
-    assert all(a.per_term[ell] is b.per_term[ell] for ell in both)
 
 
 @given(st.data())
@@ -711,8 +712,9 @@ def test_profile_degrees_within_ambient_dimension():
 def test_chi_additivity_matches_per_term():
     data = embedding_data(2, None, 2, 0, 2)
     res = quot_cohomology(data, wedge_power(2))
-    assert res.chi == sum((-1) ** ell * p.chi for ell, p in res.per_term)
-    assert len(res.per_term) == data.rank_e + 1
+    terms = term_profiles(data, wedge_power(2))
+    assert res.chi == sum((-1) ** ell * p.chi for ell, p in terms)
+    assert len(terms) == data.rank_e + 1
 
 
 def test_verify_theorem_a_b():
