@@ -123,22 +123,23 @@ exactly the pieces live on G1 and admitted on G2.
 
 What a walk reads of its G1 twist, the twist's quotient weights and each
 weight's table (_g1_side), depends on the embedding and the G1 twist
-alone, so it is cached apart from the records, in one bounded lru_cache
-keyed by the pair: fills that share a G1 twist under different G2 twists
+alone, so it has its own bounded lru_cache: fills that share a G1 twist
 read one entry, and a series table, whose sheaves all have the identity
 G1 twist, builds one per embedding.
-The finished QuotCohomology records are cached in _fill_profiles, one
-bounded lru_cache keyed by the embedding's value and the pair of twists,
-each side's (functor, ks) over its factors of positive degree (the
-identity twist when there are none; sym^1 reads as wedge^1), and filled in
-one pass: the walk, Borel-Weil-Bott on each piece's G1 factor, the doubled
+quot_cohomology checks the sheaf and splits it into its pair of twists in
+one pass over its factors (_twists): each side's (functor, ks) over its
+factors of positive degree, the identity when there are none, sym^1 read
+as wedge^1.  It then reads one record of _fill_profiles, a bounded
+lru_cache keyed by the embedding's value and the pair, filled in one pass:
+the walk, Borel-Weil-Bott on each piece's G1 factor, the doubled
 expansion, Pieri twist and Borel-Weil-Bott of its G2 factor, and Kunneth.
-A record holds only its terms with cohomology, so its size follows them,
-not rank E; term_profiles lists every term, _ACYCLIC in the gaps.
-quot_cohomology is one cache read, and sheaves with equal twists get the
+A walk that finds no live piece gets _NO_COHOMOLOGY, one record shared by
+all such pairs, and builds nothing more.  A record holds only its terms
+with cohomology, so its size follows them, not rank E; term_profiles lists
+every term, _ACYCLIC in the gaps.  Sheaves with equal twists get the
 identical record.  The walk's output depends on both twists, hence the
-pair key.  The key is exact: a record depends only on (N, splitting, n, r,
-m), which an EmbeddingData's equality compares, and on the twists; so
+pair key.  The key is exact: a record depends only on (N, splitting, n,
+r, m), which an EmbeddingData's equality compares, and on the twists; so
 equal embeddings built apart share entries.
 Records are namedtuples, equal to plain tuples with the same entries, but
 every key holds an EmbeddingData in its first slot and only there, with a
@@ -158,6 +159,7 @@ from .bott import (
 )
 from .partitions import CACHE_ENTRIES, binom, negate_reverse, pad, transpose
 from .schur import (
+    _IDENTITY,
     _double_bundle_cached,
     _pieri_chain,
     _plain_twist,
@@ -267,13 +269,14 @@ class TautologicalSheaf(namedtuple("TautologicalSheaf", "functor ks sides")):
             raise ValueError(f"unknown functor {functor!r}")
         ks = tuple(map(int, ks))
         sides = tuple(sides)
-        if len(ks) != len(sides):
+        count = len(ks)
+        if len(sides) != count:
             raise ValueError("each degree needs a side")
-        if sides.count(G1) + sides.count(G2) != len(sides):
+        if sides.count(G1) + sides.count(G2) != count:
             raise ValueError("sides must be G1 or G2")
-        if functor != "dual" and len(ks) != 1:
+        if functor != "dual" and count != 1:
             raise ValueError("wedge and sym take a single degree")
-        if ks and min(ks) < 0:
+        if count and min(ks) < 0:
             raise ValueError("degrees must be nonnegative")
         return tuple.__new__(cls, (functor, ks, sides))
 
@@ -293,9 +296,8 @@ def sym_power(k: int, side: str = G2) -> TautologicalSheaf:
 
 
 def dual_wedge_product(factors) -> TautologicalSheaf:
-    factors = tuple(factors)
-    return TautologicalSheaf("dual", tuple(k for k, _ in factors),
-                             tuple(s for _, s in factors))
+    ks, sides = tuple(zip(*factors, strict=True)) or ((), ())
+    return TautologicalSheaf("dual", ks, sides)
 
 
 def power_rank(functor: str, dim: int, k: int) -> int:
@@ -314,30 +316,29 @@ def sheaf_rank(data: EmbeddingData, sheaf: TautologicalSheaf) -> int:
     return total
 
 
-def _validate_sheaf(data: EmbeddingData, sheaf: TautologicalSheaf):
-    for k, side in zip(sheaf.ks, sheaf.sides):
-        q = data.quotient_rank(side)
-        if sheaf.functor in ("wedge", "dual") and k > q:
+def _twists(data: EmbeddingData, sheaf: TautologicalSheaf) -> tuple:
+    """Check the sheaf against the embedding and split it into (twist1,
+    twist2) in one pass over its factors: each side's positive degrees in
+    descending order (the factors commute), in schur._plain_twist's form.
+    The first factor of degree above its side's quotient rank, or of a
+    symmetric power of a rank-0 bundle, raises."""
+    functor, ks, sides = sheaf
+    twist1, twist2 = [], []
+    for k, side in zip(ks, sides):
+        q, picked = (data.q1, twist1) if side == G1 else (data.q2, twist2)
+        if k > q and functor != "sym":
             raise ValueError(
                 f"k={k} exceeds the rank {q} of the side-{side} quotient")
-        if sheaf.functor == "sym" and k > 0 and q == 0:
-            raise ValueError("symmetric power of a rank-0 bundle")
-
-
-def _twist(sheaf: TautologicalSheaf, side: str) -> tuple:
-    """The sheaf's twist on one side, as (functor, ks): the degrees of the
-    factors whose twist is realized there, in descending order, since the
-    factors of a tensor product commute.  A degree-0 factor is the trivial
-    bundle, so it is left out, and a side left with none gets the identity.
-    S^1 B = wedge^1 B = B, so sym^1 reads as wedge^1.  Both rules are
-    schur._plain_twist's, which _pieri_chain applies too; the twist needs
-    them here as well, since it keys _fill_profiles and feeds the G2
-    bound, which counts only the factors of positive degree."""
-    functor, ks, sides = sheaf
-    picked = sides.count(side)
-    if picked < len(ks):
-        ks = [k for k, s in zip(ks, sides) if s == side] if picked else ()
-    return _plain_twist(functor, tuple(sorted(ks, reverse=True)))
+        if k:
+            if not q:  # k > q = 0 here only for sym
+                raise ValueError("symmetric power of a rank-0 bundle")
+            picked.append(k)
+    if len(twist1) > 1:
+        twist1.sort(reverse=True)
+    if len(twist2) > 1:
+        twist2.sort(reverse=True)
+    return (_plain_twist(functor, tuple(twist1)) if twist1 else _IDENTITY,
+            _plain_twist(functor, tuple(twist2)) if twist2 else _IDENTITY)
 
 
 def _quotient_weights(dual, q: int, functor: str, ks: tuple) -> dict:
@@ -366,12 +367,10 @@ def resolution_terms(data: EmbeddingData, sheaf: TautologicalSheaf,
     the factored profiles are tested against, so it reads none of them."""
     if not 0 <= ell <= data.rank_e:
         raise ValueError(f"ell={ell} outside 0..{data.rank_e}")
-    _validate_sheaf(data, sheaf)
+    twist1, twist2 = _twists(data, sheaf)
     ctx1, ctx2 = data.ctx1, data.ctx2
     sub_len = data.d1 - data.q1
-    g1_quots = _quotient_weights([((0,) * data.q1, 1)], data.q1,
-                                 *_twist(sheaf, G1))
-    twist2 = _twist(sheaf, G2)
+    g1_quots = _quotient_weights([((0,) * data.q1, 1)], data.q1, *twist1)
     zeros2 = (0,) * (data.d2 - data.q2)
     acc: dict = {}
     for lam_t, lam in cauchy_wedge(ell, sub_len, 2 * data.q2):
@@ -547,16 +546,16 @@ def _fill_live(out, stack, tops, largest, rows, zero_from, s, bound):
 
 
 def _live_pieces(data: EmbeddingData, twist1, twist2):
-    """Yield (ell, lam, G1 {degree: dim}) for the Cauchy pieces whose G1
+    """List (ell, lam, G1 {degree: dim}) for the Cauchy pieces whose G1
     factor, S_{lam^T}(A1) twisted by twist1 = (functor, ks), has cohomology
     and whose G2 factor under twist2 the G2 test admits, in term order.
 
     One walk per quotient weight w of twist1 picks the rows of mu = lam^T
     that avoid w's forbidden values and cuts every branch no completion of
     which the G2 test admits (see the module docstring), all sizes at once,
-    into one {mu: ell} dict, sorted stably by ell; a mu found under several
-    weights is kept once.  Only these mu are transposed and run through
-    Borel-Weil-Bott."""
+    into one {mu: ell} dict, sorted stably by ell when it holds more than
+    one; a mu found under several weights is kept once.  Only these mu are
+    transposed and run through Borel-Weil-Bott."""
     s = data.d1 - data.q1
     quots, walks = _g1_side(data, twist1)
     bound = _g2_bound(data.q2, data.d2 - data.q2, *twist2)
@@ -564,8 +563,10 @@ def _live_pieces(data: EmbeddingData, twist1, twist2):
     start = [0] * (data.q2 + 1)
     for rows, zero_from in walks:
         _fill_live(found, [], start, 2 * data.q2, rows, zero_from, s, bound)
-    for mu, ell in sorted(found.items(), key=itemgetter(1)):
-        yield ell, transpose(mu), _factor_dims(data.d1, quots, pad(mu, s))
+    pieces = (sorted(found.items(), key=itemgetter(1)) if len(found) > 1
+              else found.items())
+    return [(ell, transpose(mu), _factor_dims(data.d1, quots, pad(mu, s)))
+            for mu, ell in pieces]
 
 
 class QuotCohomology(namedtuple("QuotCohomology",
@@ -583,17 +584,23 @@ class QuotCohomology(namedtuple("QuotCohomology",
     __slots__ = ()
 
 
+_NO_COHOMOLOGY = QuotCohomology(0, True, (), ())
+
+
 @lru_cache(maxsize=CACHE_ENTRIES)
 def _fill_profiles(data: EmbeddingData, twist1, twist2) -> QuotCohomology:
     """The QuotCohomology of the sheaves with G1 twist twist1 and G2 twist
-    twist2: each live piece's G2 factor is expanded, twisted and run
-    through Borel-Weil-Bott, Kunneth sums the products of the two factors'
-    dimensions by total degree, and chi and the degeneration flag are
-    summed as each term's profile is made; per_term keeps the terms with
-    cohomology, in the walk's order of increasing ell."""
+    twist2, _NO_COHOMOLOGY if the walk finds no live piece: each piece's G2
+    factor is expanded, twisted and run through Borel-Weil-Bott, Kunneth
+    sums the products of the two factors' dimensions by total degree, and
+    chi and the degeneration flag are summed as each term's profile is
+    made; per_term keeps the terms with cohomology, by increasing ell."""
+    pieces = _live_pieces(data, twist1, twist2)
+    if not pieces:
+        return _NO_COHOMOLOGY
     q2, zeros2 = data.q2, (0,) * (data.d2 - data.q2)
     terms: dict = {}
-    for ell, lam, dims1 in _live_pieces(data, twist1, twist2):
+    for ell, lam, dims1 in pieces:
         quots2 = _quotient_weights(_double_bundle_cached(lam, q2), q2,
                                    *twist2)
         dims2 = _factor_dims(data.d2, quots2.items(), zeros2)
@@ -629,25 +636,11 @@ def quot_cohomology(data: EmbeddingData,
     """Resolve term by term and aggregate the terms with cohomology, as
     cached per embedding and pair of twists.  Every weight is valid by
     construction, so only the sheaf is checked."""
-    _validate_sheaf(data, sheaf)
-    return _fill_profiles(data, _twist(sheaf, G1), _twist(sheaf, G2))
+    return _fill_profiles(data, *_twists(data, sheaf))
 
 
 TheoremReport = namedtuple("TheoremReport",
                            "which sheaf expected_h0 computed verified")
-
-
-def _check_theorem_c(data: EmbeddingData, ks: tuple, sides: tuple):
-    """Raise unless the dualized product with these degrees and sides meets
-    Theorem C's hypotheses."""
-    if not ks or all(k == 0 for k in ks):
-        raise ValueError("at least one degree must be positive")
-    if len(ks) > data.N - 1:
-        raise ValueError(f"at most N-1={data.N - 1} factors allowed")
-    if sides.count(G1) > 1:
-        raise ValueError("at most one factor may use the lower twist")
-    if data.m < data.n:
-        raise ValueError("need deg M = m >= n")
 
 
 _THEOREM_FUNCTORS = {"A": "wedge", "B": "sym", "C": "dual"}
@@ -698,14 +691,21 @@ def check_proposition_hypotheses(data: EmbeddingData,
     this embedding, without resolving anything."""
     if data.r != 0:
         raise ValueError("per-term certification is stated for r = 0")
-    _validate_sheaf(data, sheaf)
+    _twists(data, sheaf)
     if sheaf.functor == "sym":
         k, deg_l = sheaf.ks[0], data.twist_degree(sheaf.sides[0])
         if not deg_l >= data.n >= k:
             raise ValueError(f"symmetric case needs deg L >= n >= k, got "
                              f"deg L = {deg_l}, n = {data.n}, k = {k}")
-    elif sheaf.functor == "dual":
-        _check_theorem_c(data, sheaf.ks, sheaf.sides)
+    elif sheaf.functor == "dual":  # Theorem C's hypotheses
+        if not any(sheaf.ks):
+            raise ValueError("at least one degree must be positive")
+        if len(sheaf.ks) > data.N - 1:
+            raise ValueError(f"at most N-1={data.N - 1} factors allowed")
+        if sheaf.sides.count(G1) > 1:
+            raise ValueError("at most one factor may use the lower twist")
+        if data.m < data.n:
+            raise ValueError("need deg M = m >= n")
 
 
 def verify_resolution_propositions(data: EmbeddingData,

@@ -34,6 +34,11 @@ first and reads a lone second as wedge^1.  column_index_oracle reads the index
 of a partition off its columns, as the definition states it; indices reads
 it off the rows.
 
+validate_sheaf and side_twist are the check and the split of a sheaf as
+two passes: every factor checked, then each side's degrees picked out of
+the factors apart.  quot._twists checks and splits in one pass over the
+factors.
+
 quot_dual_bundle, sub_bundle and line_bundle_p1 build the bundles that the
 closed-form vanishing windows and the P^1 checks are stated for; the engine
 itself hands Borel-Weil-Bott bare weights.
@@ -52,11 +57,11 @@ from quotcoh.partitions import (
 )
 from quotcoh.quot import (
     G1,
+    G2,
     _factor_dims,
     _quotient_weights,
-    _twist,
 )
-from quotcoh.schur import cauchy_wedge, pieri_sym, pieri_wedge
+from quotcoh.schur import _plain_twist, cauchy_wedge, pieri_sym, pieri_wedge
 
 
 @lru_cache(maxsize=None)
@@ -154,13 +159,43 @@ def ssyt_count(shape: tuple, nvars: int) -> int:
     return sum(c for _, c in schur_monomials(shape, nvars))
 
 
+def validate_sheaf(data, sheaf):
+    """Raise at the first factor of too high a degree for its side's
+    quotient rank, or the first symmetric power of a rank-0 bundle."""
+    for k, side in zip(sheaf.ks, sheaf.sides):
+        q = data.quotient_rank(side)
+        if sheaf.functor in ("wedge", "dual") and k > q:
+            raise ValueError(
+                f"k={k} exceeds the rank {q} of the side-{side} quotient")
+        if sheaf.functor == "sym" and k > 0 and q == 0:
+            raise ValueError("symmetric power of a rank-0 bundle")
+
+
+def side_twist(sheaf, side: str) -> tuple:
+    """The sheaf's twist on one side as (functor, ks): the degrees of the
+    factors realized there, in descending order, in schur._plain_twist's
+    form (degree-0 factors dropped, the identity when none is left, sym^1
+    read as wedge^1)."""
+    functor, ks, sides = sheaf
+    picked = sides.count(side)
+    if picked < len(ks):
+        ks = [k for k, s in zip(ks, sides) if s == side] if picked else ()
+    return _plain_twist(functor, tuple(sorted(ks, reverse=True)))
+
+
+def twists(data, sheaf) -> tuple:
+    """(G1 twist, G2 twist) of a sheaf checked against the embedding."""
+    validate_sheaf(data, sheaf)
+    return side_twist(sheaf, G1), side_twist(sheaf, G2)
+
+
 def g1_scan(data, sheaf) -> list:
     """For each term ell, the sorted (lam, sorted G1 {degree: dim} items)
     of the Cauchy pieces whose G1 factor under the sheaf's G1 twist has
     cohomology, by scanning every piece."""
     sub_len = data.d1 - data.q1
     quots = _quotient_weights([((0,) * data.q1, 1)], data.q1,
-                               *_twist(sheaf, G1)).items()
+                               *side_twist(sheaf, G1)).items()
     live = []
     for ell in range(data.rank_e + 1):
         pieces = []

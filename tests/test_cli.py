@@ -376,6 +376,11 @@ def test_error_documents(capsys):
              "each degree needs a side"),
             ("chi --N 2 --n 1 --m 1 --functor dual --ks 1,1 --sides G2",
              "each degree needs a side"),
+            ("chi --N 2 --n 0 --r 0 --m 0 --functor sym --k 1 --side G1",
+             "symmetric power of a rank-0 bundle"),
+            # both factors are too high: the first, on G2, is named
+            ("cohomology --N 3 --n 1 --r 0 --m 1 --functor dual --ks 2,3 "
+             "--sides G2,G1", "k=2 exceeds the rank 1 of the side-G2 quotient"),
             ("conjecture wedge --N 2 --n 2 --r 1 --m 3 --k -1 --degL 3",
              "degrees must be nonnegative"),
             ("conjecture sym --N 2 --n 2 --r 1 --m 3 --k -1 --degL 3",

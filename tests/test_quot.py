@@ -25,7 +25,7 @@ from quotcoh.quot import (
     verify_theorem,
     wedge_power,
 )
-from oracles import g1_scan, g2_admits, g2_admits_below
+from oracles import g1_scan, g2_admits, g2_admits_below, twists
 
 
 def test_embedding_examples():
@@ -372,7 +372,7 @@ def test_one_entry_per_twist_pair(cold_caches):
     entries = {key: quot._fill_profiles(data, *key) for key in keys}
     assert quot._fill_profiles.cache_info().misses == 6
     for sheaf, record in zip(sheaves, records):
-        key = (quot._twist(sheaf, G1), quot._twist(sheaf, G2))
+        key = quot._twists(data, sheaf)
         assert record is entries[key]
     for entry in entries.values():
         # one pair per term with cohomology, in term order
@@ -392,8 +392,7 @@ def test_memo_stores_only_terms_with_pieces(cold_caches):
     data = embedding_data(4, None, 2, 0, 2)
     sheaf = wedge_power(1, G2)
     res = quot_cohomology(data, sheaf)
-    entry = quot._fill_profiles(data, quot._twist(sheaf, G1),
-                                quot._twist(sheaf, G2))
+    entry = quot._fill_profiles(data, *quot._twists(data, sheaf))
     assert quot._fill_profiles.cache_info()[:2] == (1, 1)
     assert entry is res
     assert [ell for ell, _ in res.per_term] == [0]
@@ -462,6 +461,48 @@ def test_equal_twists_share_one_record(cold_caches):
                   dual_wedge_product(((1, G1), (1, G2)))))
     for a, b in pairs:
         assert quot_cohomology(data, a) is quot_cohomology(data, b), (a, b)
+
+
+def test_empty_fills_share_one_record(cold_caches):
+    # a pair of twists whose walk finds no live piece gets the one shared
+    # empty record, and term_profiles still lists every term as acyclic
+    data = embedding_data(3, None, 2, 0, 2)
+    first = quot_cohomology(data, dual_wedge_product(((1, G2), (1, G2))))
+    second = quot_cohomology(data, dual_wedge_product(((2, G2), (1, G1))))
+    assert quot._fill_profiles.cache_info().misses == 2
+    assert first is second
+    assert (first.chi, first.dims, first.per_term) == (0, (), ())
+    terms = term_profiles(data, dual_wedge_product(((2, G2), (1, G1))))
+    assert terms == [(ell, quot._ACYCLIC) for ell in range(data.rank_e + 1)]
+
+
+# q1 = q2 = 0; q1 = 0 < q2 = 1; q1 = q2 = 1; q1 = 4 < q2 = 5
+_TWIST_EMBEDDINGS = [embedding_data(*args) for args in (
+    (2, None, 0, 0, 0), (2, None, 0, 1, 0), (3, None, 1, 0, 1),
+    (3, None, 2, 1, 2))]
+
+
+@given(st.data())
+def test_twists_match_the_two_pass_reference(draw):
+    # one pass of checks and splits agrees with the check of every factor
+    # followed by a split per side: the same twist pair, or the same first
+    # error, degrees running one past each side's quotient rank
+    data = draw.draw(st.sampled_from(_TWIST_EMBEDDINGS))
+    functor = draw.draw(st.sampled_from(("wedge", "sym", "dual")))
+    count = draw.draw(st.integers(0, 4)) if functor == "dual" else 1
+    sides = draw.draw(st.lists(st.sampled_from((G1, G2)), min_size=count,
+                               max_size=count))
+    ks = [draw.draw(st.integers(0, data.quotient_rank(side) + 1))
+          for side in sides]
+    sheaf = quot.TautologicalSheaf(functor, ks, sides)
+    try:
+        want = twists(data, sheaf)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            quot._twists(data, sheaf)
+        assert str(got.value) == str(err)
+    else:
+        assert quot._twists(data, sheaf) == want
 
 
 @given(st.data())
@@ -589,7 +630,7 @@ def test_live_walk_matches_the_full_scan():
         data = embedding_data(*args)
         q2, width = data.q2, data.d2 - data.q2
         for sheaf in _g1_twisted_sheaves(data.q1):
-            twist1 = quot._twist(sheaf, G1)
+            twist1, _ = quot._twists(data, sheaf)
             scanned = g1_scan(data, sheaf)
             for twist2 in _g2_twists(q2):
                 walked = [[] for _ in range(data.rank_e + 1)]
